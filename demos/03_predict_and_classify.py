@@ -2,8 +2,9 @@
 
 Every predictive quantity averages over posterior draws.  This demo uses
 a fast fit, then for two contrasting profiles prints the prepay survival
-curve, draws a few event times by inverting it, and partitions the
-outcome probabilities with the competing-risks race.
+curve, draws a few event times from it (pick a posterior draw, invert its
+survival in closed form), and partitions the outcome probabilities with
+the competing-risks race.
 """
 
 from __future__ import annotations

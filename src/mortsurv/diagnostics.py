@@ -7,10 +7,13 @@ evaluated at the observed time, and coverage counts how often central
 predictive intervals catch the observation, reported separately for
 defaulted and prepaid loans.
 
-Predictive moments integrate the mixture density numerically on
-(0, horizon] and are reported conditional on the event landing in that
-window; the tail mass beyond the horizon is returned alongside so a
-heavy tail is visible rather than silently folded in.
+Moments and intervals come from the draw-averaged reliability R on one
+log-time grid per loan, from where every draw's cumulative hazard is
+1e-12 up to the horizon H, with Simpson weights in log-time between the
+covariate boundaries.  By parts, E[T 1{T<=H}] = int_0^H (R(t) - R(H)) dt
+and E[T^2 1{T<=H}] = 2 int_0^H t (R(t) - R(H)) dt; moments are given
+conditional on (0, H], with the tail mass R(H) alongside.  Interval
+endpoints are bracketed on the grid, then refined by regula falsi.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .mcmc import PosteriorSamples
 from .model import LoanObservation, LoanStatus, RiskKind
-from .predict import DEFAULT_HORIZON_FACTOR, RiskCurves, _invert_curve
+from .predict import DEFAULT_HORIZON_FACTOR, RiskCurves
 
 __all__ = [
     "PredictiveMoments",
@@ -37,6 +39,12 @@ __all__ = [
     "coverage_report",
 ]
 
+_TAIL_CUMHAZ = 1e-12  # every draw's cumulative hazard at the lowest node is below this
+_SPAN = (1e-12, 1e-3)  # the lowest node lies within these multiples of the horizon
+_NODES_PER_UNIT = 64  # grid nodes per unit of log-time
+_BLOCK = 256  # nodes per reliability evaluation, bounding the (draws x nodes) array
+_REFINE_STEPS = 12
+
 
 @dataclass(frozen=True)
 class PredictiveMoments:
@@ -48,74 +56,88 @@ class PredictiveMoments:
     horizon: float
 
 
-def _moments(curves: RiskCurves, horizon: float) -> PredictiveMoments:
-    # anchor the adaptive rule near the predictive bulk
-    anchors = sorted(
-        {
-            float(np.clip(t, horizon * 1e-6, horizon * (1 - 1e-9)))
-            for t in np.exp(np.quantile(curves.location_draws, [0.1, 0.5, 0.9]))
-        }
-    )
+class _MixtureGrid:
+    """Draw-averaged reliability of one risk on one log-time grid up to the horizon."""
 
-    def integrand(power: int):
-        def f(t: float) -> float:
-            return float(curves.density(np.array([t]))[0]) * t**power
+    def __init__(self, curves: RiskCurves, horizon: float):
+        lowest = curves.invert(np.arange(curves.n_draws), np.full(curves.n_draws, _TAIL_CUMHAZ))
+        edges = [float(np.clip(lowest.min(), _SPAN[0] * horizon, _SPAN[1] * horizon))]
+        edges += [b for b in curves.path.boundaries[1:-1] if edges[0] < b < horizon] + [horizon]
+        t, w = [edges[0]], [0.0]
+        for a, b in zip(edges[:-1], edges[1:]):  # composite Simpson in s = log t
+            n = 2 * math.ceil(_NODES_PER_UNIT * math.log(b / a) / 2)
+            s = np.linspace(math.log(a), math.log(b), n + 1)
+            dt = np.r_[1.0, 3.0 - (-1.0) ** np.arange(1, n), 1.0] * (s[1] - s[0]) / 3.0 * np.exp(s)
+            w[-1] += dt[0]
+            w += list(dt[1:])
+            t += [*np.exp(s[1:-1]), b]
+        self.curves, self.horizon, self.t, self.w = curves, horizon, np.array(t), np.array(w)
+        blocks = np.split(self.t, range(_BLOCK, self.t.size, _BLOCK))
+        self.rel = np.concatenate([curves.reliability(part) for part in blocks])
 
-        return f
+    def moments(self) -> PredictiveMoments:
+        tail = float(self.rel[-1])
+        mass = 1.0 - tail
+        mean = sd = math.nan
+        if mass > 0.0:
+            inside = self.rel - tail  # P(t < T <= H); flat below the lowest node
+            m1 = self.t[0] * inside[0] + self.w @ inside
+            m2 = self.t[0] ** 2 * inside[0] + 2.0 * (self.w @ (self.t * inside))
+            mean = m1 / mass
+            sd = math.sqrt(max(m2 / mass - mean * mean, 0.0))
+        return PredictiveMoments(mean=mean, sd=sd, tail_mass=tail, horizon=self.horizon)
 
-    def moment(power: int) -> float:
-        val, _ = integrate.quad(
-            integrand(power), 0.0, horizon,
-            points=anchors, limit=200, epsabs=1e-12, epsrel=1e-6,
-        )
-        return val
-
-    mass = moment(0)
-    if mass <= 0.0:
-        return PredictiveMoments(
-            mean=math.nan, sd=math.nan,
-            tail_mass=float(curves.reliability(np.array([horizon]))[0]),
-            horizon=horizon,
-        )
-    m1 = moment(1)
-    m2 = moment(2)
-    mean = m1 / mass
-    var = max(m2 / mass - mean * mean, 0.0)
-    return PredictiveMoments(
-        mean=mean,
-        sd=math.sqrt(var),
-        tail_mass=float(curves.reliability(np.array([horizon]))[0]),
-        horizon=horizon,
-    )
+    def quantiles(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(times, censored) where the reliability falls to each level u, as ``event_times``;
+        levels at or above the reliability at the lowest node return that node."""
+        u = np.asarray(u, dtype=float)
+        censored = u < self.rel[-1]
+        times = np.where(censored, self.horizon, self.t[0])
+        sel = ~censored & (u < self.rel[0])
+        if not sel.any():
+            return times, censored
+        u = u[sel]
+        k = np.searchsorted(-self.rel, -u, side="left")  # first node with rel <= u
+        a, b = np.log(self.t[k - 1]), np.log(self.t[k])
+        fa, fb = self.rel[k - 1] - u, self.rel[k] - u  # fa > 0 >= fb
+        side = np.zeros(u.size)
+        for _ in range(_REFINE_STEPS):
+            s = a + (b - a) * fa / (fa - fb)
+            f = self.curves.reliability(np.exp(s)) - u
+            right = f <= 0.0  # the crossing lies in [a, s]
+            # Illinois: halve the value at an end kept twice in a row
+            fa = np.where(right, np.where(side > 0, 0.5 * fa, fa), f)
+            fb = np.where(right, f, np.where(side < 0, 0.5 * fb, fb))
+            a, b = np.where(right, a, s), np.where(right, s, b)
+            side = np.where(right, 1.0, -1.0)
+        times[sel] = np.exp(s)
+        return times, censored
 
 
 def predictive_moments(
     path, samples: PosteriorSamples, risk: RiskKind, horizon: float = 300.0
 ) -> PredictiveMoments:
-    """Numerically integrated predictive moments for one profile and risk.
+    """Predictive moments for one profile and risk, integrated on a log-time grid.
 
     Moments are conditional on the event occurring in (0, horizon];
     ``tail_mass`` is the predictive probability of surviving past the
-    horizon.  Returns NaN moments when essentially no mass lies inside.
+    horizon.  Returns NaN moments when no mass lies inside.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    return _moments(RiskCurves(path, samples, risk), horizon)
+    return _MixtureGrid(RiskCurves(path, samples, risk), horizon).moments()
 
 
 def _own_risk(loan: LoanObservation) -> RiskKind:
-    risk = loan.status.risk
-    if risk is None:
-        raise ValueError(
-            f"loan {loan.loan_id} is active; residual diagnostics need a terminal event"
-        )
-    return risk
+    if loan.status.risk is None:
+        raise ValueError(f"loan {loan.loan_id} is active; residual diagnostics need a terminal event")
+    return loan.status.risk
 
 
 def standardized_residual(loan: LoanObservation, samples: PosteriorSamples) -> float:
     """(observed time - predictive mean) / predictive sd for the loan's own risk."""
     curves = RiskCurves(loan.covariates, samples, _own_risk(loan))
-    m = _moments(curves, DEFAULT_HORIZON_FACTOR * loan.maturity)
+    m = _MixtureGrid(curves, DEFAULT_HORIZON_FACTOR * loan.maturity).moments()
     return (loan.time - m.mean) / m.sd
 
 
@@ -153,12 +175,10 @@ def loan_diagnostics(
     """
     if not (0.0 <= level <= 1.0):
         raise ValueError(f"level must be in [0, 1], got {level}")
-    risk = _own_risk(loan)
-    curves = RiskCurves(loan.covariates, samples, risk)
-    horizon = DEFAULT_HORIZON_FACTOR * loan.maturity
-    m = _moments(curves, horizon)
-    targets = np.array([(1.0 + level) / 2.0, (1.0 - level) / 2.0])
-    (t_low, t_high), _ = _invert_curve(curves, targets, horizon)
+    curves = RiskCurves(loan.covariates, samples, _own_risk(loan))
+    grid = _MixtureGrid(curves, DEFAULT_HORIZON_FACTOR * loan.maturity)
+    m = grid.moments()
+    (t_low, t_high), _ = grid.quantiles(np.array([(1.0 + level) / 2.0, (1.0 - level) / 2.0]))
     return LoanDiagnostics(
         loan_id=loan.loan_id,
         status=loan.status,

@@ -38,6 +38,7 @@ __all__ = [
     "baseline_cumhaz",
     "covariate_at",
     "cumulative_hazard",
+    "invert_cumulative_hazard",
 ]
 
 
@@ -394,3 +395,61 @@ def cumulative_hazard(
     eta = path.values[active] @ theta
     pieces = _integrated_baseline(hi, baseline) - _integrated_baseline(lo, baseline)
     return float(np.sum(np.exp(eta) * pieces))
+
+
+# exp(700): caps a proportional-hazards weight so that an overflowed weight
+# times an underflowed interval mass stays 0 instead of becoming inf * 0
+_WEIGHT_CAP = math.exp(700.0)
+
+
+def invert_cumulative_hazard(
+    bounds: np.ndarray,
+    weights: np.ndarray,
+    mu: np.ndarray,
+    sigma: np.ndarray,
+    target: np.ndarray,
+) -> np.ndarray:
+    """Times t with Lambda(t) = target, one per row, in closed form.
+
+    Row i is one risk under one parameter draw: baseline log T ~ N(mu[i],
+    sigma[i]**2) and weight weights[i, j] = exp(theta' x_j) on the
+    covariate interval (bounds[j], bounds[j+1]].  Each row walks the
+    intervals, spending each interval's hazard capacity, until its target
+    falls inside one; there it solves the lognormal integrated baseline
+    through the inverse log-CDF.  Exact up to float rounding.  A target of
+    +inf, a time past the float range, or a row whose hazard underflows
+    to zero returns +inf.  Weights are capped at exp(700).
+
+    Parameters
+    ----------
+    bounds : ndarray, shape (m+1,)
+        Interval boundaries 0 = s_0 < ... < s_m = inf (``CovariatePath.boundaries``).
+    weights : ndarray, shape (n, m)
+    mu, sigma, target : ndarray, shape (n,)
+
+    Returns
+    -------
+    ndarray, shape (n,)
+    """
+    n, m = weights.shape
+    h0 = np.zeros((n, m + 1))
+    h0[:, -1] = np.inf
+    if m > 1:
+        z = (np.log(bounds[1:-1])[None, :] - mu[:, None]) / sigma[:, None]
+        h0[:, 1:-1] = -log_normal_survival(z)
+    weights = np.minimum(weights, _WEIGHT_CAP)
+    remaining = np.array(target, dtype=float)
+    out = np.full(n, np.inf)
+    todo = np.ones(n, dtype=bool)
+    # inf - inf once a row is done; exp overflow means an event beyond any horizon
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(m):
+            cap = weights[:, j] * (h0[:, j + 1] - h0[:, j])
+            hit = todo & (remaining <= cap)
+            if hit.any():
+                # H0(t) = h0[j] + remaining / weight, through the inverse log-CDF
+                z = -sps.ndtri_exp(-(h0[hit, j] + remaining[hit] / weights[hit, j]))
+                out[hit] = np.exp(mu[hit] + sigma[hit] * z)
+            todo &= ~hit
+            remaining -= cap
+    return out

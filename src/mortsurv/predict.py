@@ -3,10 +3,10 @@
 All predictive quantities average over the kept posterior draws: the
 predictive reliability at t is the draw-average of exp(-Lambda(t)) and
 the predictive density is the draw-average of hazard times survival.
-Event times are sampled by inverting the predictive reliability with
-bracketed bisection in log-time, which is monotone-safe and converges to
-relative tolerance well below 1e-8 in the fixed iteration budget.  Draws
-falling beyond the configured horizon come back flagged as censored.
+The predictive law of one risk is thus a uniform mixture over the draws,
+sampled exactly: pick a draw, then invert its survival in closed form
+(``model.invert_cumulative_hazard``).  Draws falling beyond the
+configured horizon come back at the horizon, flagged as censored.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sps
 
 from .mcmc import PosteriorSamples
-from .model import CovariatePath, RiskKind
+from .model import CovariatePath, RiskKind, invert_cumulative_hazard
 
 __all__ = [
     "RiskCurves",
@@ -31,67 +31,61 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON_FACTOR = 10.0
-_BISECT_ITERS = 60
-_BRACKET_SHRINK = 1e-12
-_CHUNK = 4096
 
 
 class RiskCurves:
     """Posterior-predictive evaluator for one loan profile and one risk.
 
-    Precomputes per-draw linear predictors for every covariate interval,
-    then evaluates survival and density on arbitrary time grids as
-    (draws x times) arrays.  Instances are immutable and reusable across
-    grids.
+    Precomputes per-draw weights exp(theta' x_j) and hazard capacities of
+    the covariate intervals, then evaluates survival and density on time
+    grids as (draws x times) arrays and samples event times.  Immutable.
     """
 
     def __init__(self, path: CovariatePath, samples: PosteriorSamples, risk: RiskKind):
         if samples.n_draws == 0:
             raise ValueError("need at least one posterior draw")
         if path.p != samples.p:
-            raise ValueError(
-                f"path has {path.p} covariates but draws carry {samples.p}"
-            )
+            raise ValueError(f"path has {path.p} covariates but draws carry {samples.p}")
         if risk is RiskKind.DEFAULT:
             mu, sigma2, theta = samples.mu_default, samples.sigma2_default, samples.theta_default
         else:
             mu, sigma2, theta = samples.mu_prepay, samples.sigma2_prepay, samples.theta_prepay
-        self.path = path
-        self.risk = risk
+        self.path, self.risk = path, risk
         self._mu = mu[:, None]  # (G, 1)
         self._sigma = np.sqrt(sigma2)[:, None]
         self._etas = theta @ path.values.T  # (G, m)
         self._bounds = path.boundaries
+        with np.errstate(over="ignore"):
+            self._weights = np.exp(self._etas)
+        # per draw and interval: integrated baseline at its start, hazard spent before it
+        zero = np.zeros((self.n_draws, 1))
+        self._h0_start = np.concatenate((zero, self._h0(self._bounds[1:-1])), axis=1)
+        spent = self._spend(np.diff(self._h0_start, axis=1), slice(0, -1))
+        self._spent = np.concatenate((zero, np.cumsum(spent, axis=1)), axis=1)
 
     @property
     def n_draws(self) -> int:
         return self._mu.shape[0]
-
-    @property
-    def location_draws(self) -> np.ndarray:
-        """Per-draw log-time locations, shape (G,)."""
-        return self._mu.ravel()
 
     def _h0(self, t: np.ndarray) -> np.ndarray:
         """Integrated baseline rate at positive times, per draw: (G, k)."""
         z = (np.log(t)[None, :] - self._mu) / self._sigma
         return -sps.log_ndtr(-z)
 
-    def _log_survival(self, times: np.ndarray) -> np.ndarray:
-        """-Lambda(t) per draw on a positive time grid: (G, k)."""
-        bounds = self._bounds
-        lam = np.zeros((self.n_draws, times.size))
-        for j in range(self.path.m):
-            lo, hi = bounds[j], bounds[j + 1]
-            clipped = np.clip(times, lo, hi)  # stays positive: times > 0
-            piece = self._h0(clipped)
-            if lo > 0.0:
-                piece = piece - self._h0(np.full(1, lo))
-            np.maximum(piece, 0.0, out=piece)
-            with np.errstate(invalid="ignore", over="ignore"):
-                contrib = np.exp(self._etas[:, j])[:, None] * piece
-            lam += np.where(np.isnan(contrib), 0.0, contrib)
-        return -lam
+    def _spend(self, piece: np.ndarray, j) -> np.ndarray:
+        """Hazard of baseline increments ``piece`` under the weights of intervals j."""
+        np.maximum(piece, 0.0, out=piece)
+        with np.errstate(invalid="ignore", over="ignore"):
+            contrib = self._weights[:, j] * piece
+        return np.where(np.isnan(contrib), 0.0, contrib)  # inf weight, empty piece
+
+    def _log_survival(self, times: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
+        """-Lambda(t) per draw on a positive time grid, (G, k), from the
+        integrated baseline at the times (``h0``, reused when given)."""
+        if h0 is None:
+            h0 = self._h0(times)
+        j = np.searchsorted(self._bounds, times, side="left") - 1
+        return -(self._spent[:, j] + self._spend(h0 - self._h0_start[:, j], j))
 
     def reliability(self, times) -> np.ndarray:
         """Draw-averaged survival on a grid of positive times."""
@@ -103,13 +97,28 @@ class RiskCurves:
         times = _check_times(times)
         logt = np.log(times)[None, :]
         z = (logt - self._mu) / self._sigma
+        h0 = -sps.log_ndtr(-z)
         log_pdf = -0.5 * np.log(2.0 * math.pi * self._sigma**2) - logt - 0.5 * z * z
-        log_r = log_pdf - sps.log_ndtr(-z)
-        j = np.searchsorted(self._bounds, times, side="left") - 1
-        eta_at_t = self._etas[:, j]
+        eta_at_t = self._etas[:, np.searchsorted(self._bounds, times, side="left") - 1]
         with np.errstate(over="ignore"):
-            out = np.exp(log_r + eta_at_t + self._log_survival(times)).mean(axis=0)
-        return out
+            return np.exp(log_pdf + h0 + eta_at_t + self._log_survival(times, h0)).mean(axis=0)
+
+    def invert(self, g: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
+        """Times at which draw g[i]'s cumulative hazard reaches cumhaz[i]."""
+        mu, sigma = self._mu[g, 0], self._sigma[g, 0]
+        return invert_cumulative_hazard(self._bounds, self._weights[g], mu, sigma, cumhaz)
+
+    def event_times(self, g: np.ndarray, u: np.ndarray, horizon: float):
+        """Where draw g[i]'s survival falls to u[i], as (times, censored): capped at the horizon."""
+        with np.errstate(divide="ignore"):
+            t = self.invert(g, -np.log(u))
+        censored = t > horizon
+        return np.where(censored, horizon, t), censored
+
+    def sample(self, rng: np.random.Generator, n: int, horizon: float):
+        """n capped event times as ``event_times``: n draw indices, then n uniforms."""
+        g = rng.integers(0, self.n_draws, size=n)
+        return self.event_times(g, rng.uniform(size=n), horizon)
 
 
 def _check_times(times) -> np.ndarray:
@@ -135,30 +144,6 @@ def predictive_density(
     return RiskCurves(path, samples, risk).density(times)
 
 
-def _invert_curve(curves: RiskCurves, u: np.ndarray, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Times where the predictive reliability crosses each u, capped at horizon.
-
-    Returns (times, censored).  Censored entries sit exactly at the
-    horizon.  Bisection runs on log-time over [horizon * 1e-12, horizon].
-    """
-    r_horizon = float(curves.reliability(np.array([horizon]))[0])
-    censored = u < r_horizon
-    times = np.full(u.shape, float(horizon))
-    idx = np.flatnonzero(~censored)
-    for start in range(0, idx.size, _CHUNK):
-        sel = idx[start : start + _CHUNK]
-        target = u[sel]
-        lo = np.full(sel.size, math.log(horizon * _BRACKET_SHRINK))
-        hi = np.full(sel.size, math.log(horizon))
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            above = curves.reliability(np.exp(mid)) > target
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        times[sel] = np.exp(0.5 * (lo + hi))
-    return times, censored
-
-
 @dataclass(frozen=True)
 class EventTimeDraw:
     """One sampled event time; censored means it hit the horizon cap."""
@@ -176,15 +161,11 @@ def sample_event_time(
 ) -> EventTimeDraw:
     """Draw one event time from the posterior-predictive law of a risk.
 
-    Inverse-CDF sampling: u ~ Uniform(0,1) mapped through the predictive
-    reliability.  Events landing beyond ``horizon`` return the horizon
-    itself with ``censored=True``.
+    Exact mixture sampling; events beyond ``horizon`` return it with ``censored=True``.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    curves = RiskCurves(path, samples, risk)
-    u = np.array([rng.uniform()])
-    times, censored = _invert_curve(curves, u, horizon)
+    times, censored = RiskCurves(path, samples, risk).sample(rng, 1, horizon)
     return EventTimeDraw(time=float(times[0]), censored=bool(censored[0]))
 
 
@@ -231,9 +212,10 @@ def classify(
     """Simulate the competing risks to outcome probabilities for one loan.
 
     Draws ``n_sims`` latent pairs (default time, prepay time) from the
-    two predictive laws (default uniforms first, then prepay), then
-    partitions: mature if both times reach ``maturity``, else default if
-    the default time is soonest (ties to default), else prepay.  The
+    two predictive laws, each risk with its own draw indices and uniforms
+    (in ``rng`` order: default indices, default uniforms, then prepay),
+    then partitions: mature if both times reach ``maturity``, else default
+    if the default time is soonest (ties to default), else prepay.  The
     horizon is ``DEFAULT_HORIZON_FACTOR * maturity``; capped draws land
     beyond maturity and therefore count toward maturation.
     """
@@ -242,10 +224,8 @@ def classify(
     if n_sims < 1:
         raise ValueError("n_sims must be at least 1")
     horizon = DEFAULT_HORIZON_FACTOR * maturity
-    u_default = rng.uniform(size=n_sims)
-    u_prepay = rng.uniform(size=n_sims)
-    t_default, cap_d = _invert_curve(RiskCurves(path, samples, RiskKind.DEFAULT), u_default, horizon)
-    t_prepay, cap_p = _invert_curve(RiskCurves(path, samples, RiskKind.PREPAY), u_prepay, horizon)
+    t_default, cap_d = RiskCurves(path, samples, RiskKind.DEFAULT).sample(rng, n_sims, horizon)
+    t_prepay, cap_p = RiskCurves(path, samples, RiskKind.PREPAY).sample(rng, n_sims, horizon)
 
     mature = (t_default >= maturity) & (t_prepay >= maturity)
     default = ~mature & (t_default <= t_prepay)

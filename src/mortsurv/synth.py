@@ -3,9 +3,10 @@
 Event times are drawn by exact inversion of each risk's survival
 function: with total hazard target -log(u), walk the covariate-constant
 intervals until the target falls inside one, then solve the lognormal
-integrated baseline in closed form via the inverse log-CDF.  No
-discretization or rejection is involved, so simulated data follow the
-model law to floating-point accuracy.
+integrated baseline in closed form via the inverse log-CDF.  The walk is
+``model.invert_cumulative_hazard``, the kernel prediction samples with
+too.  No discretization or rejection is involved, so simulated data
+follow the model law to floating-point accuracy.
 
 Each loan gets its own RNG substream, ``SeedSequence(seed,
 spawn_key=(i,))``, making generation order-free and reproducible loan by
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sps
 
 from .model import (
     CovariatePath,
@@ -29,7 +29,7 @@ from .model import (
     LoanStatus,
     ModelParams,
     RiskKind,
-    _integrated_baseline,
+    invert_cumulative_hazard,
 )
 
 __all__ = [
@@ -52,22 +52,17 @@ def invert_survival(
     """
     if not (0.0 <= u < 1.0):
         raise ValueError(f"u must be in [0, 1), got {u}")
-    theta = np.asarray(theta, dtype=float)
-    target = -math.log(u) if u > 0.0 else math.inf
-    bounds = path.boundaries
-    h0 = _integrated_baseline(bounds, baseline)  # h0[-1] = inf
-    etas = path.values @ theta
-    for j in range(path.m):
-        # clamp keeps inf * 0 (overflowed weight times underflowed interval
-        # mass) from poisoning the walk; the capacity comparison is unchanged
-        weight = math.exp(min(etas[j], 700.0))
-        cap = weight * (h0[j + 1] - h0[j])
-        if target <= cap:
-            # solve H0(t) = h0[j] + target/weight through the inverse log-CDF
-            z = -sps.ndtri_exp(-(h0[j] + target / weight))
-            return float(np.exp(baseline.mu + baseline.sigma * z))
-        target -= cap
-    raise AssertionError("unreachable: last interval has infinite hazard capacity")
+    # math.exp and math.log, not their numpy forms, which round differently
+    # in the last bit: simulated datasets stay byte-stable
+    weights = [math.exp(min(eta, 700.0)) for eta in path.values @ np.asarray(theta, dtype=float)]
+    t = invert_cumulative_hazard(
+        path.boundaries,
+        np.array([weights]),
+        np.array([baseline.mu]),
+        np.array([baseline.sigma]),
+        np.array([-math.log(u) if u > 0.0 else math.inf]),
+    )
+    return float(t[0])
 
 
 @dataclass(frozen=True)

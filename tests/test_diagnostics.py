@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mortsurv import (
     CovariatePath,
@@ -20,6 +21,8 @@ from mortsurv import (
     sample_event_time,
     standardized_residual,
 )
+
+from mortsurv.predict import RiskCurves
 
 from conftest import params_small, samples_at
 
@@ -47,6 +50,49 @@ def test_moments_match_monte_carlo(spread_samples):
     assert m.mean == pytest.approx(float(draws.mean()), rel=0.05)
     assert m.sd == pytest.approx(float(draws.std()), rel=0.15)
     assert 0.0 <= m.tail_mass < 0.02
+
+
+def _quad_moments(path, samples, risk, horizon):
+    """Reference: adaptive quadrature of t^k times the predictive density on (0, H]."""
+    curves = RiskCurves(path, samples, risk)
+    breaks = [float(b) for b in path.boundaries[1:-1] if b < horizon] or None
+
+    def moment(k):
+        def f(t):
+            return float(curves.density(np.array([t]))[0]) * t**k
+
+        return quad(f, 0.0, horizon, points=breaks, limit=500, epsabs=0.0, epsrel=1e-10)[0]
+
+    mass, m1, m2 = moment(0), moment(1), moment(2)
+    mean = m1 / mass
+    return mean, math.sqrt(m2 / mass - mean * mean), mass
+
+
+@pytest.mark.parametrize(
+    "case, risk, horizon",
+    [
+        ("constant", RiskKind.PREPAY, 300.0),
+        ("step", RiskKind.DEFAULT, 300.0),
+        ("step", RiskKind.PREPAY, 300.0),
+        ("constant", RiskKind.DEFAULT, 2.0),  # short horizon, most mass in the tail
+    ],
+)
+def test_grid_moments_match_quadrature(case, risk, horizon):
+    samples = samples_at(params_small(3), n_draws=30, n_chains=2, jitter=0.2, seed=1)
+    path = {
+        "constant": CovariatePath.constant(np.array([1.0, 0.2, 0.0])),
+        "step": CovariatePath(
+            obs_times=np.array([1.0, 2.5, 6.0]),
+            values=np.array([[1.0, 0.5, -1.2], [1.0, 0.8, 0.3], [1.0, -1.0, 1.0]]),
+        ),
+    }[case]
+    m = predictive_moments(path, samples, risk, horizon=horizon)
+    mean, sd, mass = _quad_moments(path, samples, risk, horizon)
+    assert m.mean == pytest.approx(mean, rel=1e-5)
+    assert m.sd == pytest.approx(sd, rel=1e-5)
+    assert 1.0 - m.tail_mass == pytest.approx(mass, rel=1e-7)
+    if horizon < 10.0:
+        assert m.tail_mass > 0.9
 
 
 def test_moments_tail_mass_counts_events_past_horizon(spread_samples):

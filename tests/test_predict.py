@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special as sps
+from scipy import stats
 
 from mortsurv import (
     CovariatePath,
+    LognormalBaseline,
     RiskKind,
     classify,
     cumulative_hazard,
+    invert_survival,
     lognormal_hazard,
     predictive_density,
     predictive_reliability,
     sample_event_time,
 )
-from mortsurv.predict import RiskCurves, _exact_partition, _invert_curve
+from mortsurv.diagnostics import _MixtureGrid
+from mortsurv.model import _integrated_baseline, invert_cumulative_hazard
+from mortsurv.predict import RiskCurves, _exact_partition
 
 from conftest import params_small, samples_at
 
@@ -97,7 +104,7 @@ def test_curve_inversion_hits_requested_levels(spread_samples, two_interval_path
     _, samples = spread_samples
     curves = RiskCurves(two_interval_path, samples, RiskKind.PREPAY)
     u = np.array([0.9, 0.5, 0.1, 0.02])
-    times, censored = _invert_curve(curves, u, horizon=300.0)
+    times, censored = _MixtureGrid(curves, horizon=300.0).quantiles(u)
     assert not censored.any()
     back = curves.reliability(times)
     np.testing.assert_allclose(back, u, rtol=1e-8, atol=1e-10)
@@ -109,9 +116,92 @@ def test_curve_inversion_censors_past_horizon(spread_samples, two_interval_path)
     horizon = 300.0
     floor = float(curves.reliability(np.array([horizon]))[0])
     u = np.array([floor / 2.0])  # below the reachable range: event past horizon
-    times, censored = _invert_curve(curves, u, horizon)
+    times, censored = _MixtureGrid(curves, horizon).quantiles(u)
     assert censored[0]
     assert times[0] == horizon
+
+
+def _walk_reference(path, theta, baseline, u):
+    """The scalar interval walk: spend each interval's hazard capacity in turn."""
+    target = -math.log(u) if u > 0.0 else math.inf
+    h0 = _integrated_baseline(path.boundaries, baseline)
+    etas = path.values @ theta
+    for j in range(path.m):
+        weight = math.exp(min(etas[j], 700.0))
+        cap = weight * (h0[j + 1] - h0[j])
+        if target <= cap:
+            z = -sps.ndtri_exp(-(h0[j] + target / weight))
+            return float(np.exp(baseline.mu + baseline.sigma * z))
+        target -= cap
+    raise AssertionError("unreachable")
+
+
+_KERNEL_PATHS = {
+    "constant": CovariatePath.constant(np.array([1.0, 0.4, -0.3])),
+    "step": CovariatePath(
+        obs_times=np.array([0.8, 2.0, 5.0, 9.0]),
+        values=np.array([[1.0, 0.5, -1.2], [1.0, 0.8, 0.3], [1.0, -1.5, 2.0], [1.0, 0.0, 0.1]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PATHS))
+def test_kernel_equals_scalar_walk_element_by_element(name):
+    path = _KERNEL_PATHS[name]
+    rng = np.random.default_rng(8)
+    n = 400
+    mu = rng.normal(2.0, 0.8, n)
+    sigma = np.sqrt(rng.uniform(0.2, 1.5, n))
+    theta = rng.normal(0.0, 1.0, (n, 3))
+    theta[::50, 0] = 800.0  # eta > 700: the weight clamp
+    u = rng.uniform(size=n)
+    u[::37] = 0.0  # the event never happens: +inf
+    ref, synth_t, weights = [], [], []
+    for i in range(n):
+        base = LognormalBaseline(float(mu[i]), float(sigma[i] ** 2))
+        ref.append(_walk_reference(path, theta[i], base, float(u[i])))
+        synth_t.append(invert_survival(path, theta[i], base, float(u[i])))
+        weights.append([math.exp(min(e, 700.0)) for e in path.values @ theta[i]])
+    with np.errstate(divide="ignore"):  # sqrt(sigma**2): the sigma the baselines carry
+        kernel = invert_cumulative_hazard(
+            path.boundaries, np.array(weights), mu, np.sqrt(sigma**2), -np.log(u)
+        )
+    assert np.array_equal(kernel, ref)
+    assert np.array_equal(synth_t, ref)
+    assert np.all(np.isinf(kernel[u == 0.0])) and np.all(np.isfinite(kernel[u > 0.0]))
+
+
+def test_event_times_cap_at_horizon_and_match_kernel(spread_samples, two_interval_path):
+    _, samples = spread_samples
+    clamped = samples.theta_default.copy()
+    clamped[3, 0] = 800.0  # eta > 700
+    g = np.arange(samples.n_draws)
+    u = np.linspace(0.0, 0.98, g.size)
+    horizon = 40.0
+    for theta in (samples.theta_default, clamped):
+        curves = RiskCurves(two_interval_path, replace(samples, theta_default=theta), RiskKind.DEFAULT)
+        times, censored = curves.event_times(g, u, horizon)
+        for i in g:
+            base = LognormalBaseline(float(samples.mu_default[i]), float(samples.sigma2_default[i]))
+            ref = _walk_reference(two_interval_path, theta[i], base, float(u[i]))
+            assert censored[i] == (ref > horizon)
+            assert times[i] == pytest.approx(min(ref, horizon), rel=1e-12)
+        assert censored[0] and times[0] == horizon  # u = 0: +inf, then capped
+
+
+def test_sampled_times_pass_ks_against_reliability_on_step_path():
+    params = params_small(3)
+    samples = samples_at(params, n_draws=30, n_chains=2, jitter=0.3, seed=9)
+    path = _KERNEL_PATHS["step"]
+    curves = RiskCurves(path, samples, RiskKind.PREPAY)
+    horizon = 1e6
+    times, censored = curves.sample(np.random.default_rng(17), 4000, horizon)
+    assert not censored.any()
+    ks = stats.kstest(times, lambda t: 1.0 - curves.reliability(t))
+    assert ks.pvalue > 0.01
+    # the mixture, not one draw: the plug-in law at the central parameters is rejected
+    plug = RiskCurves(path, samples_at(params, n_draws=2, n_chains=2), RiskKind.PREPAY)
+    assert stats.kstest(times, lambda t: 1.0 - plug.reliability(t)).pvalue < 0.01
 
 
 def test_sample_event_time_reproducible(spread_samples, two_interval_path):
