@@ -97,6 +97,12 @@ def cmd_fit(args) -> int:
             f"{r.name:<{name_w}}  {r.mean:>10.4f}  {r.sd:>10.4f}  "
             f"{r.rhat:>6.3f}  {r.ess:>8.1f}"
         )
+    if config.n_chains < 2:
+        print(
+            "convergence gate: not evaluated (split R-hat needs at least 2 chains)",
+            file=sys.stderr,
+        )
+        return 0
     worst = max((r.rhat for r in rows if np.isfinite(r.rhat)), default=float("nan"))
     if np.isfinite(worst) and worst > RHAT_GATE:
         bad = [r.name for r in rows if np.isfinite(r.rhat) and r.rhat > RHAT_GATE]

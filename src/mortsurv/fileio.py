@@ -249,6 +249,11 @@ def write_acceptance_csv(samples: PosteriorSamples, path) -> None:
 # --- truth / params -----------------------------------------------------------
 
 
+_PARAM_KEYS = (
+    "mu_default", "sigma2_default", "mu_prepay", "sigma2_prepay", "theta_default", "theta_prepay",
+)
+
+
 def params_to_json_dict(params: ModelParams) -> dict:
     return {
         "mu_default": params.baseline_default.mu,
@@ -260,7 +265,17 @@ def params_to_json_dict(params: ModelParams) -> dict:
     }
 
 
-def params_from_json_dict(d: dict) -> ModelParams:
+def _require(d, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValueError naming the first of ``keys`` missing from JSON object ``d``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f'{what}: missing required key "{key}"')
+
+
+def params_from_json_dict(d: dict, what: str = "model parameters") -> ModelParams:
+    _require(d, _PARAM_KEYS, what)
     return ModelParams(
         baseline_default=LognormalBaseline(float(d["mu_default"]), float(d["sigma2_default"])),
         baseline_prepay=LognormalBaseline(float(d["mu_prepay"]), float(d["sigma2_prepay"])),
@@ -291,8 +306,9 @@ def write_truth_json(truth: TruthRecord, path) -> None:
 def read_truth_json(path) -> TruthRecord:
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
+    _require(d, ("params", "schema", "seed", "maturity", "censor_time"), "truth JSON")
     return TruthRecord(
-        params=params_from_json_dict(d["params"]),
+        params=params_from_json_dict(d["params"], "truth JSON params"),
         schema=tuple(d["schema"]),
         seed=int(d["seed"]),
         maturity=float(d["maturity"]),
@@ -304,6 +320,7 @@ def read_truth_json(path) -> TruthRecord:
 
 
 def _build_from_dict(cls, d: dict, what: str):
+    _require(d, (), what)
     valid = set(cls.__dataclass_fields__)
     unknown = set(d) - valid
     if unknown:
@@ -315,6 +332,7 @@ def read_fit_config(path) -> tuple[PriorSpec, SamplerConfig]:
     """Fit configuration JSON: {"prior": {...}, "sampler": {...}}, both optional."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
+    _require(d, (), "fit config")
     unknown = set(d) - {"prior", "sampler"}
     if unknown:
         raise ValueError(f"fit config: unknown top-level keys {sorted(unknown)}")
@@ -327,9 +345,8 @@ def read_simulate_config(path) -> BenchmarkConfig:
     """Simulation configuration JSON with the ground truth under "true"."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
-    if "true" not in d:
-        raise ValueError('simulate config: missing required key "true"')
-    params = params_from_json_dict(d["true"])
+    _require(d, ("true",), "simulate config")
+    params = params_from_json_dict(d["true"], 'simulate config "true"')
     rest = {k: v for k, v in d.items() if k != "true"}
     rest["true_params"] = params
     return _build_from_dict(BenchmarkConfig, rest, "simulate config")

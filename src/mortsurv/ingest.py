@@ -116,6 +116,13 @@ class FileSchema:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FileSchema":
+        if not isinstance(d, dict):
+            raise IngestError("input file schema: expected a JSON object")
+        for key in ("origination_columns", "performance_columns"):
+            if key not in d:
+                raise IngestError(
+                    f'input file schema: missing required key "{key}" (found {sorted(d)})'
+                )
         return cls(
             origination_columns={k: int(v) for k, v in d["origination_columns"].items()},
             performance_columns={k: int(v) for k, v in d["performance_columns"].items()},
@@ -135,7 +142,14 @@ def load_default_schema() -> FileSchema:
 def load_judicial_states() -> frozenset[str]:
     """Packaged table of states where foreclosure runs through the courts."""
     text = resources.files("mortsurv.data").joinpath("judicial_states.json").read_text()
-    return frozenset(json.loads(text)["states"])
+    return judicial_states_from_json_dict(json.loads(text))
+
+
+def judicial_states_from_json_dict(d: dict) -> frozenset[str]:
+    """State codes from a judicial states JSON object (``{"version", "states"}``)."""
+    if not isinstance(d, dict) or "states" not in d:
+        raise IngestError('judicial states: missing required key "states"')
+    return frozenset(d["states"])
 
 
 @dataclass(frozen=True)

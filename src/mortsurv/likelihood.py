@@ -9,9 +9,19 @@ sigma2), joined by a single weighted sum over covariate-constant segments.
 A Metropolis sweep that moves one block at a time therefore only recomputes
 the part that block touches.
 
-All reductions go through ``np.sum`` (pairwise, single-threaded), so a
-given dataset and parameter point always produces the bit-identical float
-no matter how many sampler threads run concurrently.
+The baseline part costs one normal log-survival evaluation per distinct
+positive segment boundary time, not per segment: each segment's
+integrated baseline is gathered from that one array at its two ends (a
+segment starting at time 0 needs only its upper end), and the event log
+hazards reuse the same pass, since event times are segment ends.
+Ingested exit times are whole months, so a large book has a few hundred
+distinct times whatever its size.  Per-segment and per-event values are
+the same elementwise arithmetic as evaluating each segment on its own.
+
+All reductions go through ``np.sum`` (pairwise, single-threaded) over
+segments and events in dataset order, so a given dataset and parameter
+point always produces the bit-identical float no matter how many sampler
+threads run concurrently.
 """
 
 from __future__ import annotations
@@ -27,10 +37,11 @@ from .model import (
     LoanObservation,
     ModelParams,
     RiskKind,
-    _integrated_baseline,
     _log_baseline_hazard,
+    _lognormal_log_pdf,
     covariate_at,
     cumulative_hazard,
+    log_normal_survival,
 )
 
 __all__ = ["PortfolioLikelihood", "loan_loglik", "total_loglik"]
@@ -57,8 +68,11 @@ class PortfolioLikelihood:
 
     Construction walks the dataset once, flattening every loan's active
     covariate segments (shared by both risks) and collecting per-risk event
-    times and event covariates.  Instances are immutable after
-    construction and safe to share across threads.
+    times and event covariates.  It then indexes every segment end and
+    every event time into the sorted distinct positive boundary times, so
+    ``baseline_parts`` costs one log-survival pass over the U distinct
+    times plus gathers, however many segments share them.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(self, dataset: Dataset):
@@ -84,16 +98,26 @@ class PortfolioLikelihood:
                 event_t[risk].append(t)
                 event_x[risk].append(covariate_at(path, t))
 
-        self._seg_lo = _concat(seg_lo, (0,))
-        self._seg_hi = _concat(seg_hi, (0,))
+        lo = _concat(seg_lo, (0,))
+        hi = _concat(seg_hi, (0,))
         self._seg_x = _concat(seg_x, (0, p))
         self._event_t = {r: np.asarray(event_t[r], dtype=float) for r in event_t}
         self._event_x = {
             r: _concat([np.atleast_2d(x) for x in event_x[r]], (0, p)) for r in event_x
         }
-        for arr in (self._seg_lo, self._seg_hi, self._seg_x):
+
+        # every segment end is positive; a start is 0 (first segment, where
+        # H0(0) = 0 needs no lookup) or an inner covariate boundary
+        times = np.unique(np.concatenate((lo[lo > 0.0], hi)))
+        self._log_times = np.log(times)
+        self._hi_idx = np.searchsorted(times, hi)
+        self._inner = np.flatnonzero(lo > 0.0)
+        self._inner_lo_idx = np.searchsorted(times, lo[self._inner])
+        # an event time is its loan's last segment end, so it is one of the times
+        self._event_idx = {r: np.searchsorted(times, self._event_t[r]) for r in self._event_t}
+        for arr in (self._seg_x, self._log_times, self._hi_idx, self._inner, self._inner_lo_idx):
             arr.setflags(write=False)
-        for d in (self._event_t, self._event_x):
+        for d in (self._event_t, self._event_x, self._event_idx):
             for arr in d.values():
                 arr.setflags(write=False)
 
@@ -103,7 +127,7 @@ class PortfolioLikelihood:
 
     @property
     def n_segments(self) -> int:
-        return self._seg_lo.size
+        return self._hi_idx.size
 
     def n_events(self, risk: RiskKind) -> int:
         return self._event_t[risk].size
@@ -121,13 +145,25 @@ class PortfolioLikelihood:
         return CoefParts(event_eta_sum=eta_sum, seg_weights=weights)
 
     def baseline_parts(self, risk: RiskKind, baseline: LognormalBaseline) -> BaselineParts:
-        """Everything in risk's log-likelihood that depends on (mu, sigma2)."""
-        t = self._event_t[risk]
-        logr_sum = float(np.sum(_log_baseline_hazard(t, baseline))) if t.size else 0.0
-        cumhaz = _integrated_baseline(self._seg_hi, baseline) - _integrated_baseline(
-            self._seg_lo, baseline
-        )
+        """Everything in risk's log-likelihood that depends on (mu, sigma2).
+
+        One log-survival pass over the distinct times gives the integrated
+        baseline H0 = -log S0 at every segment end and, with the log-pdf at
+        the same z, the log hazard at every event time.  Each per-segment
+        and per-event value is the arithmetic of evaluating that segment or
+        event on its own, so the sums match it bit for bit.
+        """
+        z = (self._log_times - baseline.mu) / baseline.sigma
+        log_surv = log_normal_survival(z)
+        h0 = -log_surv
+        cumhaz = h0[self._hi_idx]
+        cumhaz[self._inner] -= h0[self._inner_lo_idx]
         np.maximum(cumhaz, 0.0, out=cumhaz)
+        idx = self._event_idx[risk]
+        logr_sum = 0.0
+        if idx.size:
+            log_r = _lognormal_log_pdf(self._log_times, z, baseline) - log_surv
+            logr_sum = float(np.sum(log_r[idx]))
         return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz)
 
     @staticmethod

@@ -275,12 +275,16 @@ def log_normal_survival(z):
     return sps.log_ndtr(-np.asarray(z, dtype=float))
 
 
+def _lognormal_log_pdf(logt, z, baseline: LognormalBaseline):
+    """log pdf of the lognormal lifetime at t, from log t and z = (log t - mu)/sigma."""
+    return -0.5 * math.log(2.0 * math.pi * baseline.sigma2) - logt - 0.5 * z * z
+
+
 def _log_baseline_hazard(t: np.ndarray, baseline: LognormalBaseline) -> np.ndarray:
     """log r(t) for positive t, via log-pdf minus log-survival of log-time."""
     logt = np.log(t)
     z = (logt - baseline.mu) / baseline.sigma
-    log_pdf = -0.5 * math.log(2.0 * math.pi * baseline.sigma2) - logt - 0.5 * z * z
-    return log_pdf - log_normal_survival(z)
+    return _lognormal_log_pdf(logt, z, baseline) - log_normal_survival(z)
 
 
 def lognormal_hazard(t, baseline: LognormalBaseline):

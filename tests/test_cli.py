@@ -300,3 +300,57 @@ def test_diagnose_active_only_dataset_is_empty_but_clean(sim_outputs, tmp_path,
     for line in cov[1:]:
         fields = line.split(",")
         assert fields[2] == "0" and fields[4] == "nan"
+
+
+def test_ingest_schema_missing_columns_key_exits_4(tmp_path, capsys):
+    orig = tmp_path / "orig.txt"
+    perf = tmp_path / "perf.txt"
+    orig.write_text(orow(lid="L001") + "\n")
+    perf.write_text(prow(lid="L001", ym="200502", zb="01", rep="N") + "\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"origination": {"loan_id": 19},
+                                  "performance": {"loan_id": 0, "reporting_date": 1}}))
+    rc = main(["ingest", "--origination", str(orig), "--performance", str(perf),
+               "--schema", str(schema), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "origination_columns" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_config_missing_parameter_exits_4(tmp_path, sim_config, capsys):
+    cfg = json.loads(sim_config.read_text())
+    del cfg["true"]["theta_prepay"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "theta_prepay" in err
+    assert "Traceback" not in err
+
+
+def test_single_chain_fit_says_gate_not_evaluated(sim_outputs, tmp_path, capsys):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({
+        "sampler": {"n_chains": 1, "n_iters": 80, "burn_in": 40, "thin": 4, "seed": 1},
+    }))
+    out = tmp_path / "one"
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(cfg), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == (
+        "convergence gate: not evaluated (split R-hat needs at least 2 chains)\n")
+    assert "convergence gate" not in captured.out
+    assert (out / "summary.csv").exists()
+
+
+def test_fit_config_block_not_an_object_exits_4(sim_outputs, tmp_path, capsys):
+    cfg = tmp_path / "bad_fit.json"
+    cfg.write_text(json.dumps({"prior": 5}))
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "fit config prior: expected a JSON object" in err

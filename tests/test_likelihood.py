@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortsurv import (
     CovariatePath,
@@ -20,6 +22,7 @@ from mortsurv import (
     loan_loglik,
     total_loglik,
 )
+from mortsurv.model import _integrated_baseline, log_normal_survival
 
 from conftest import params_small
 
@@ -187,3 +190,133 @@ def test_schema_mismatch_rejected(bench_small):
     short = np.zeros(2)
     with pytest.raises(ValueError):
         like.risk_loglik(RiskKind.DEFAULT, short, truth.params.baseline_default)
+
+
+# --- distinct-time baseline evaluation ------------------------------------------
+
+
+def _reference_log_hazard(t, baseline):
+    logt = np.log(t)
+    z = (logt - baseline.mu) / baseline.sigma
+    log_pdf = -0.5 * math.log(2.0 * math.pi * baseline.sigma2) - logt - 0.5 * z * z
+    return log_pdf - log_normal_survival(z)
+
+
+def _per_segment_baseline_parts(dataset, risk, baseline):
+    """Reference: every segment and event evaluated on its own, in dataset order."""
+    lo, hi, events = [], [], []
+    for loan in dataset.loans:
+        bounds = loan.covariates.boundaries
+        active = bounds[:-1] < loan.time
+        lo.append(bounds[:-1][active])
+        hi.append(np.minimum(bounds[1:][active], loan.time))
+        if loan.status.risk is risk:
+            events.append(loan.time)
+    lo = np.concatenate(lo) if lo else np.empty(0)
+    hi = np.concatenate(hi) if hi else np.empty(0)
+    t = np.asarray(events, dtype=float)
+    logr_sum = float(np.sum(_reference_log_hazard(t, baseline))) if t.size else 0.0
+    cumhaz = _integrated_baseline(hi, baseline) - _integrated_baseline(lo, baseline)
+    np.maximum(cumhaz, 0.0, out=cumhaz)
+    return logr_sum, cumhaz
+
+
+def _monthly_book(with_defaults: bool) -> Dataset:
+    """Step paths on a month grid, tied exit months, censored loans, and exits
+    landing exactly on a covariate boundary (the midpoint 1.5 of obs 1 and 2)."""
+    rng = np.random.default_rng(17)
+    statuses = [LoanStatus.PREPAID, LoanStatus.ACTIVE]
+    if with_defaults:
+        statuses.append(LoanStatus.DEFAULTED)
+    loans = []
+    for i in range(60):
+        m = int(rng.integers(1, 4))
+        obs = np.sort(rng.choice(np.arange(1, 25), size=m, replace=False)) / 12.0
+        path = CovariatePath(obs, rng.normal(size=(m, 2)))
+        time = int(rng.integers(1, 40)) / 12.0
+        loans.append(LoanObservation(f"L{i}", statuses[i % len(statuses)], time, path))
+    on_boundary = CovariatePath(np.array([1.0, 2.0]), np.array([[0.5, -1.0], [1.5, 0.2]]))
+    for i, status in enumerate(statuses):
+        loans.append(LoanObservation(f"B{i}", status, 1.5, on_boundary))
+        loans.append(LoanObservation(f"C{i}", status, 3.0, on_boundary))
+    return Dataset(loans=tuple(loans), schema=("c0", "c1"))
+
+
+BOOKS = {
+    "monthly": _monthly_book(with_defaults=True),
+    "no_defaults": _monthly_book(with_defaults=False),
+    "empty": Dataset(loans=(), schema=("c0", "c1")),
+}
+
+
+@pytest.mark.parametrize("book", sorted(BOOKS))
+def test_baseline_parts_bitwise_equal_per_segment_formula(book):
+    dataset = BOOKS[book]
+    like = PortfolioLikelihood(dataset)
+    for mu, sigma2 in [(2.817, 0.927), (1.578, 0.514), (-3.0, 0.01), (6.0, 9.0)]:
+        baseline = LognormalBaseline(mu, sigma2)
+        for risk in RiskKind:
+            want_logr, want_cumhaz = _per_segment_baseline_parts(dataset, risk, baseline)
+            got = like.baseline_parts(risk, baseline)
+            assert got.seg_cumhaz.tobytes() == want_cumhaz.tobytes()
+            assert got.event_logr_sum == want_logr
+    if book == "no_defaults":
+        assert like.n_events(RiskKind.DEFAULT) == 0
+
+
+def _portfolios():
+    """Small portfolios on a month grid, so exit and boundary times repeat."""
+    loan = st.tuples(
+        st.sampled_from(list(LoanStatus)),
+        st.integers(1, 24),
+        st.lists(st.integers(1, 18), min_size=1, max_size=3, unique=True),
+        st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    )
+
+    def build(rows):
+        loans = []
+        for i, (status, month, obs, vals) in enumerate(rows):
+            obs = np.sort(np.asarray(obs, dtype=float)) / 12.0
+            values = np.asarray(vals).reshape(3, 2)[: obs.size]
+            loans.append(LoanObservation(f"L{i}", status, month / 12.0, CovariatePath(obs, values)))
+        return Dataset(loans=tuple(loans), schema=("c0", "c1"))
+
+    return st.lists(loan, min_size=1, max_size=8).map(build)
+
+
+def _close(a, b, scale):
+    # the two evaluators sum in different orders, so compare relative to the
+    # magnitude of the summed terms rather than to the (possibly small) total
+    return abs(a - b) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_portfolios())
+def test_total_equals_sum_of_loan_logliks(dataset):
+    params = params_small(2)
+    terms = [loan_loglik(loan, params) for loan in dataset.loans]
+    total = PortfolioLikelihood(dataset).total(params)
+    assert _close(total, math.fsum(terms), sum(abs(x) for x in terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_portfolios(), st.data())
+def test_splitting_a_segment_leaves_loglik_unchanged(dataset, data):
+    # repeating a covariate row before the first or after the last observation
+    # adds a boundary without changing the covariate value on either side
+    params = params_small(2)
+    i = data.draw(st.integers(0, dataset.n_loans - 1))
+    loan = dataset.loans[i]
+    obs, values = loan.covariates.obs_times, loan.covariates.values
+    if data.draw(st.booleans()):
+        new_t = data.draw(st.floats(0.01, 0.99)) * obs[0]
+        path = CovariatePath(np.r_[new_t, obs], np.vstack([values[:1], values]))
+    else:
+        new_t = obs[-1] + data.draw(st.floats(0.01, 3.0))
+        path = CovariatePath(np.r_[obs, new_t], np.vstack([values, values[-1:]]))
+    loans = list(dataset.loans)
+    loans[i] = LoanObservation(loan.loan_id, loan.status, loan.time, path)
+    split = Dataset(loans=tuple(loans), schema=dataset.schema)
+    before = PortfolioLikelihood(dataset).total(params)
+    after = PortfolioLikelihood(split).total(params)
+    assert after == pytest.approx(before, rel=1e-12)
