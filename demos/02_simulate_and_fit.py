@@ -34,7 +34,7 @@ dataset, record = make_benchmark(
 print("portfolio mix:", {s.value: dataset.count(s) for s in LoanStatus})
 
 config = SamplerConfig(n_chains=4, n_iters=3000, burn_in=1500, thin=5, seed=1)
-samples = run_sampler(dataset, PriorSpec(), config, n_threads=4)
+samples = run_sampler(dataset, PriorSpec(), config)
 print(f"kept {samples.n_draws} draws from {config.n_chains} chains")
 
 true_by_name = {

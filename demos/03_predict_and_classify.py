@@ -39,7 +39,6 @@ samples = run_sampler(
     dataset,
     PriorSpec(),
     SamplerConfig(n_chains=2, n_iters=2000, burn_in=1000, thin=10, seed=3),
-    n_threads=2,
 )
 
 profiles = {

@@ -4,8 +4,7 @@ Five subcommands cover the pipeline end to end: ``simulate`` writes a
 benchmark portfolio with its truth file, ``ingest`` turns raw loan files
 into the canonical dataset CSV, ``fit`` samples the posterior, and
 ``predict``/``diagnose`` consume a dataset plus a draws file.  Output
-files are deterministic for fixed inputs and seeds, whatever the thread
-count.
+files are deterministic for fixed inputs and seeds.
 
 Exit codes: 0 success, 2 usage errors (argument parsing, or a named
 input file that does not exist), 3 I/O failures, 4 invalid file content
@@ -47,10 +46,15 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("MORTSURV_THREADS", "1"))
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _writer(fh):
@@ -81,7 +85,7 @@ def cmd_fit(args) -> int:
     if args.prior_only:
         dataset = Dataset(loans=(), schema=dataset.schema)
     out = _out_dir(args)
-    samples = run_sampler(dataset, prior, config, n_threads=_threads(args))
+    samples = run_sampler(dataset, prior, config)
     fileio.write_draws_csv(samples, out / "draws.csv")
     rows = summarize(samples)
     fileio.write_summary_csv(rows, out / "summary.csv")
@@ -296,22 +300,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"exit 0 even when some split R-hat exceeds {RHAT_GATE}",
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="chain threads (default: $MORTSURV_THREADS or 1)",
-    )
+    # accepted and ignored (chains run in sequence), so existing scripts
+    # that pass it, such as bench/run.py, keep working
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     common(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="classify loans and optionally write predictive curves")
     p.add_argument("--dataset", required=True)
     p.add_argument("--draws", required=True, help="draws CSV from fit")
-    p.add_argument("--n-sims", type=int, default=10_000, help="simulations per loan")
+    p.add_argument("--n-sims", type=_positive_int, default=10_000, help="simulations per loan")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--curves", action="store_true", help="also write per-loan curve files")
-    p.add_argument("--grid-points", type=int, default=120)
+    p.add_argument("--grid-points", type=_positive_int, default=120)
     common(p)
     p.set_defaults(func=cmd_predict)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -319,12 +320,28 @@ def read_truth_json(path) -> TruthRecord:
 # --- run configs ----------------------------------------------------------------
 
 
+# field annotation: (JSON value types it accepts, what the error says it must be);
+# bool is never accepted, although Python counts it as an int
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    float | None: ((int, float, type(None)), "a number or null"),
+}
+
+
 def _build_from_dict(cls, d: dict, what: str):
     _require(d, (), what)
     valid = set(cls.__dataclass_fields__)
     unknown = set(d) - valid
     if unknown:
         raise ValueError(f"{what}: unknown keys {sorted(unknown)}; valid keys are {sorted(valid)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        if hints[key] not in _JSON_TYPES:
+            continue
+        types, expected = _JSON_TYPES[hints[key]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f'{what}: "{key}" must be {expected}, got {json.dumps(value)}')
     return cls(**d)
 
 

@@ -20,8 +20,7 @@ the same elementwise arithmetic as evaluating each segment on its own.
 
 All reductions go through ``np.sum`` (pairwise, single-threaded) over
 segments and events in dataset order, so a given dataset and parameter
-point always produces the bit-identical float no matter how many sampler
-threads run concurrently.
+point always produces the bit-identical float.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class PortfolioLikelihood:
     every event time into the sorted distinct positive boundary times, so
     ``baseline_parts`` costs one log-survival pass over the U distinct
     times plus gathers, however many segments share them.  Instances are
-    immutable after construction and safe to share across threads.
+    immutable after construction, so all chains share one.
     """
 
     def __init__(self, dataset: Dataset):

@@ -11,18 +11,18 @@ the parts its block touches.
 Proposal scales adapt by Robbins-Monro during burn-in only (step size
 k**-0.6 toward a target acceptance rate, 0.25 for vector blocks and 0.4
 for scalars) and are frozen from the first post-burn-in sweep, so
-recorded draws come from a fixed-kernel chain.
+recorded draws come from a fixed-kernel chain.  The starting scales,
+targets and clamps are the module constants in ``TUNING``.
 
-Chains are reproducible and independent of execution interleaving: chain
-``c`` draws from ``default_rng(SeedSequence(seed, spawn_key=(c,)))``, and
-all reductions use pairwise ``np.sum``, so ``run_sampler`` output is
-bit-identical for any thread count.
+Chains run one after another in chain order; they hold the interpreter
+lock throughout, so a thread pool gains nothing.  Chain ``c`` draws from
+``default_rng(SeedSequence(seed, spawn_key=(c,)))`` and depends on no
+other chain, so any chain can be rerun on its own with ``run_chain``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,15 +49,25 @@ __all__ = [
     "summarize",
 ]
 
-# update order within one sweep
+# update order within one sweep: (block, kind, risk)
 BLOCKS = (
-    "theta_default",
-    "theta_prepay",
-    "mu_default",
-    "mu_prepay",
-    "sigma2_default",
-    "sigma2_prepay",
+    ("theta_default", "theta", RiskKind.DEFAULT),
+    ("theta_prepay", "theta", RiskKind.PREPAY),
+    ("mu_default", "mu", RiskKind.DEFAULT),
+    ("mu_prepay", "mu", RiskKind.PREPAY),
+    ("sigma2_default", "sigma2", RiskKind.DEFAULT),
+    ("sigma2_prepay", "sigma2", RiskKind.PREPAY),
 )
+
+# kind: (starting value, target acceptance rate, lower clamp, upper clamp)
+# of the tuned proposal scale.  theta and mu tune their random-walk sd;
+# sigma2 tunes the log half-width b = -log a of its interval (a*s2, s2/a),
+# starting from a = 0.5.
+TUNING = {
+    "theta": (0.1, 0.25, 1e-8, 1e8),
+    "mu": (0.1, 0.4, 1e-8, 1e8),
+    "sigma2": (-math.log(0.5), 0.4, 1e-6, 30.0),
+}
 
 
 class InitializationError(ValueError):
@@ -115,13 +125,10 @@ def _log_invgamma(x: float, shape: float, rate: float) -> float:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run-shape and proposal settings shared by all chains.
+    """Run shape shared by all chains.
 
-    ``scale_theta``/``scale_mu`` are the starting random-walk standard
-    deviations and ``sigma2_shrink`` the starting lower factor a of the
-    variance proposal interval; with ``adapt`` on they are per-block
-    tuning state, with it off they are used as-is for the whole run.
     Kept draws are the post-burn-in sweeps at multiples of ``thin``.
+    Proposal tuning is fixed (``TUNING``), not configured.
     """
 
     n_chains: int = 4
@@ -129,12 +136,6 @@ class SamplerConfig:
     burn_in: int = 10_000
     thin: int = 10
     seed: int = 0
-    adapt: bool = True
-    target_accept_block: float = 0.25
-    target_accept_scalar: float = 0.4
-    scale_theta: float = 0.1
-    scale_mu: float = 0.1
-    sigma2_shrink: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_chains < 1:
@@ -147,14 +148,6 @@ class SamplerConfig:
             raise ValueError("thin must be at least 1")
         if self.n_kept == 0:
             raise ValueError("run shape keeps no draws; lengthen n_iters or lower thin")
-        for name in ("target_accept_block", "target_accept_scalar"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
-        if not (self.scale_theta > 0.0 and self.scale_mu > 0.0):
-            raise ValueError("proposal scales must be positive")
-        if not (0.0 < self.sigma2_shrink <= 1.0):
-            raise ValueError(f"sigma2_shrink must be in (0, 1], got {self.sigma2_shrink}")
 
     @property
     def n_kept(self) -> int:
@@ -348,43 +341,20 @@ def _initial_state(like: PortfolioLikelihood, prior: PriorSpec) -> ChainState:
 
 
 def run_chain(
-    data: Dataset | None,
+    like: PortfolioLikelihood,
     prior: PriorSpec,
     config: SamplerConfig,
     chain_id: int,
-    *,
-    likelihood: PortfolioLikelihood | None = None,
 ) -> ChainResult:
     """Run one chain to completion.
 
     The chain's generator is ``default_rng(SeedSequence(config.seed,
     spawn_key=(chain_id,)))``, so chains never share a stream and a given
-    (seed, chain_id) pair always reproduces the same draws.  ``likelihood``
-    lets callers share one precomputed evaluator across chains.
+    (seed, chain_id) pair always reproduces the same draws.
     """
-    if likelihood is None:
-        if data is None:
-            raise ValueError("need either data or a prebuilt likelihood")
-        likelihood = PortfolioLikelihood(data)
-    like = likelihood
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
     state = _initial_state(like, prior)
-
-    scales = {
-        "theta_default": config.scale_theta,
-        "theta_prepay": config.scale_theta,
-        "mu_default": config.scale_mu,
-        "mu_prepay": config.scale_mu,
-    }
-    # variance proposals adapt on the log interval half-width b = -log a
-    widths = {
-        "sigma2_default": -math.log(config.sigma2_shrink),
-        "sigma2_prepay": -math.log(config.sigma2_shrink),
-    }
-    targets = {
-        b: config.target_accept_block if b.startswith("theta") else config.target_accept_scalar
-        for b in BLOCKS
-    }
+    tune = {block: TUNING[kind][0] for block, kind, _ in BLOCKS}
 
     n_kept = config.n_kept
     p = like.dataset.p
@@ -397,34 +367,31 @@ def run_chain(
         "theta_default": np.empty((n_kept, p)),
         "theta_prepay": np.empty((n_kept, p)),
     }
-    accept_counts = dict.fromkeys(BLOCKS, 0)
+    accept_counts = dict.fromkeys(tune, 0)
     kept = 0
 
     for sweep in range(1, config.n_iters + 1):
         accepted = {}
-        for block in BLOCKS:
-            kind, _, risk_name = block.partition("_")
-            risk = RiskKind.DEFAULT if risk_name == "default" else RiskKind.PREPAY
+        # the update functions are looked up by name on every call, so
+        # patching the module attributes (as a tracer does) takes effect
+        for block, kind, risk in BLOCKS:
             if kind == "theta":
-                state, acc = update_theta(state, risk, like, prior, scales[block], rng)
+                state, acc = update_theta(state, risk, like, prior, tune[block], rng)
             elif kind == "mu":
-                state, acc = update_mu(state, risk, like, prior, scales[block], rng)
+                state, acc = update_mu(state, risk, like, prior, tune[block], rng)
             else:
-                a = math.exp(-widths[block])
+                a = math.exp(-tune[block])
                 state, acc = update_sigma2(state, risk, like, prior, a, rng)
             accepted[block] = acc
 
         if sweep <= config.burn_in:
-            if config.adapt:
-                gamma = sweep**-0.6
-                for block in BLOCKS:
-                    step = gamma * ((1.0 if accepted[block] else 0.0) - targets[block])
-                    if block in scales:
-                        scales[block] = min(max(scales[block] * math.exp(step), 1e-8), 1e8)
-                    else:
-                        widths[block] = min(max(widths[block] * math.exp(step), 1e-6), 30.0)
+            gamma = sweep**-0.6
+            for block, kind, _ in BLOCKS:
+                _, target, lo, hi = TUNING[kind]
+                step = gamma * ((1.0 if accepted[block] else 0.0) - target)
+                tune[block] = min(max(tune[block] * math.exp(step), lo), hi)
         else:
-            for block in BLOCKS:
+            for block in accept_counts:
                 accept_counts[block] += accepted[block]
             if (sweep - config.burn_in) % config.thin == 0:
                 out["iterations"][kept] = sweep
@@ -437,9 +404,9 @@ def run_chain(
                 kept += 1
 
     n_post = config.n_iters - config.burn_in
-    acceptance = {b: accept_counts[b] / n_post for b in BLOCKS}
+    acceptance = {b: n / n_post for b, n in accept_counts.items()}
     final_scales = {
-        b: (scales[b] if b in scales else math.exp(-widths[b])) for b in BLOCKS
+        b: math.exp(-tune[b]) if kind == "sigma2" else tune[b] for b, kind, _ in BLOCKS
     }
     return ChainResult(chain_id=chain_id, acceptance=acceptance, final_scales=final_scales, **out)
 
@@ -512,27 +479,14 @@ def run_sampler(
     data: Dataset,
     prior: PriorSpec | None = None,
     config: SamplerConfig | None = None,
-    n_threads: int = 1,
 ) -> PosteriorSamples:
-    """Run all chains and pool their kept draws in chain order.
-
-    Chains may execute on a thread pool; each owns its RNG stream and the
-    shared likelihood evaluator is immutable, so the pooled output is
-    bit-identical whatever ``n_threads`` is.
-    """
+    """Run chains 0..C-1 in order on one shared likelihood evaluator and
+    pool their kept draws in chain order."""
     prior = prior if prior is not None else PriorSpec()
     config = config if config is not None else SamplerConfig()
     like = PortfolioLikelihood(data)
     ids = list(range(config.n_chains))
-
-    def job(cid: int) -> ChainResult:
-        return run_chain(data, prior, config, cid, likelihood=like)
-
-    if n_threads <= 1 or config.n_chains == 1:
-        results = [job(cid) for cid in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(job, ids))
+    results = [run_chain(like, prior, config, cid) for cid in ids]
 
     n_kept = config.n_kept
     chain_col = np.repeat(np.array(ids, dtype=np.int64), n_kept)
@@ -547,8 +501,8 @@ def run_sampler(
         sigma2_prepay=np.concatenate([r.sigma2_prepay for r in results]),
         theta_default=np.vstack([r.theta_default for r in results]),
         theta_prepay=np.vstack([r.theta_prepay for r in results]),
-        acceptance={b: np.array([r.acceptance[b] for r in results]) for b in BLOCKS},
-        final_scales={b: np.array([r.final_scales[b] for r in results]) for b in BLOCKS},
+        acceptance={b: np.array([r.acceptance[b] for r in results]) for b, _, _ in BLOCKS},
+        final_scales={b: np.array([r.final_scales[b] for r in results]) for b, _, _ in BLOCKS},
     )
 
 

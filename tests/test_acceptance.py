@@ -93,7 +93,7 @@ def recovery():
     )
     dataset, truth = make_benchmark(config)
     start = time.perf_counter()
-    samples = run_sampler(dataset, PriorSpec(), SamplerConfig(seed=77), n_threads=4)
+    samples = run_sampler(dataset, PriorSpec(), SamplerConfig(seed=77))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
         dataset=dataset, truth=truth, samples=samples, elapsed=elapsed
@@ -188,7 +188,7 @@ def test_criterion_3_prior_recovery_on_empty_dataset():
     assert (config.n_chains, config.n_iters, config.burn_in) == (4, 20_000, 10_000)
 
     start = time.perf_counter()
-    samples = run_sampler(Dataset(loans=(), schema=schema), prior, config, n_threads=4)
+    samples = run_sampler(Dataset(loans=(), schema=schema), prior, config)
     elapsed = time.perf_counter() - start
 
     prior_mean = {"mu": 0.0, "sigma2": 38.0 / 19.0, "theta": 0.0}
@@ -434,7 +434,6 @@ def test_criterion_9_public_sample_files_if_present():
         result.dataset,
         PriorSpec(),
         SamplerConfig(n_chains=2, n_iters=4000, burn_in=2000, seed=5),
-        n_threads=2,
     )
     medians = {row.name: row.median for row in summarize(samples)}
     # sign pattern of the prepay coefficients whose orientation does not

@@ -222,21 +222,19 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_threads_env_var_does_not_change_fit(tmp_path, sim_outputs, fit_config,
-                                             monkeypatch, capsys):
-    a = tmp_path / "t1"
-    monkeypatch.setenv("MORTSURV_THREADS", "1")
+def test_threads_flag_is_accepted_and_ignored(tmp_path, sim_outputs, fit_config,
+                                              capsys):
+    a = tmp_path / "plain"
     assert main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
                  "--config", str(fit_config), "--allow-nonconverged",
                  "--out-dir", str(a)]) == 0
-    b = tmp_path / "t4"
-    monkeypatch.setenv("MORTSURV_THREADS", "4")
+    b = tmp_path / "t2"
     assert main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
                  "--config", str(fit_config), "--allow-nonconverged",
-                 "--out-dir", str(b)]) == 0
+                 "--threads", "2", "--out-dir", str(b)]) == 0
     capsys.readouterr()
-    assert (a / "draws.csv").read_bytes() == (b / "draws.csv").read_bytes()
-    assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+    for name in ("draws.csv", "summary.csv", "acceptance.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_out_dir_env_var(tmp_path, sim_config, monkeypatch, capsys):
@@ -354,3 +352,54 @@ def test_fit_config_block_not_an_object_exits_4(sim_outputs, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 4
     assert "fit config prior: expected a JSON object" in err
+
+
+def test_fit_config_removed_tuning_key_exits_4(sim_outputs, tmp_path, capsys):
+    cfg = tmp_path / "adapt.json"
+    cfg.write_text(json.dumps({"sampler": {"adapt": True, "n_iters": 80, "burn_in": 40}}))
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "unknown keys ['adapt']" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("n_chains", "2"), ("n_iters", 80.0)])
+def test_fit_config_wrongly_typed_value_exits_4(sim_outputs, tmp_path, capsys,
+                                                key, value):
+    sampler = {"n_chains": 2, "n_iters": 80, "burn_in": 40, "thin": 4, "seed": 1}
+    sampler[key] = value
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"sampler": sampler}))
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f'fit config sampler: "{key}" must be an integer' in err
+    assert "Traceback" not in err
+
+
+def test_simulate_config_wrongly_typed_value_exits_4(tmp_path, sim_config, capsys):
+    cfg = json.loads(sim_config.read_text())
+    cfg["n_loans"] = "80"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert 'simulate config: "n_loans" must be an integer' in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--grid-points", "--n-sims"])
+def test_predict_count_flags_must_be_positive(sim_outputs, tmp_path, capsys, flag):
+    out = tmp_path / "pred"
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--dataset", str(sim_outputs / "dataset.csv"),
+              "--draws", str(sim_outputs / "draws.csv"), "--curves",
+              flag, "0", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a positive integer, got 0" in err
+    assert not out.exists()  # rejected before any output is opened

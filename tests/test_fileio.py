@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortsurv import (
     BenchmarkConfig,
@@ -15,6 +17,7 @@ from mortsurv import (
     LoanStatus,
     LognormalBaseline,
     ModelParams,
+    PosteriorSamples,
     PriorSpec,
     SamplerConfig,
     make_benchmark,
@@ -199,3 +202,83 @@ def test_simulate_config_requires_truth(tmp_path):
     cfg = read_simulate_config(f)
     assert cfg.n_loans == 5
     assert cfg.true_params.baseline_default.mu == 2.8
+
+
+# --- round trips of random files ---------------------------------------------
+
+# text that the CSV writer must quote or that the draws reader splits on
+_NAMES = st.text(alphabet='ab,":; \'', min_size=1, max_size=6)
+# every finite float, including -0.0, subnormals and values near 1e308
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+# capped so the midpoint of two adjacent observation times cannot overflow
+_OBS_TIMES = st.lists(st.floats(min_value=5e-324, max_value=8e307),
+                      min_size=1, max_size=4, unique=True).map(sorted)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def _loans(draw, loan_id: str, p: int) -> LoanObservation:
+    status = draw(st.sampled_from(list(LoanStatus)))
+    time, maturity = draw(_POSITIVE), draw(_POSITIVE)
+    if status is LoanStatus.ACTIVE:
+        time, maturity = min(time, maturity), max(time, maturity)
+    obs = draw(_OBS_TIMES)
+    values = draw(st.lists(st.lists(_VALUES, min_size=p, max_size=p),
+                           min_size=len(obs), max_size=len(obs)))
+    return LoanObservation(loan_id, status, time, CovariatePath(obs, values), maturity)
+
+
+@st.composite
+def _datasets(draw) -> Dataset:
+    schema = draw(st.lists(_NAMES, min_size=1, max_size=3))
+    ids = draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
+    return Dataset(loans=tuple(draw(_loans(i, len(schema))) for i in ids), schema=schema)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_datasets())
+def test_dataset_csv_roundtrip_is_bitwise_for_random_files(tmp_path_factory, dataset):
+    f = tmp_path_factory.getbasetemp() / "random_dataset.csv"
+    write_dataset_csv(dataset, f)
+    back = read_dataset_csv(f)
+    assert back.schema == dataset.schema
+    assert [x.loan_id for x in back.loans] == [x.loan_id for x in dataset.loans]
+    for a, b in zip(dataset.loans, back.loans):
+        assert b.status is a.status
+        assert _bits([b.time, b.maturity]) == _bits([a.time, a.maturity])
+        assert _bits(b.covariates.obs_times) == _bits(a.covariates.obs_times)
+        assert _bits(b.covariates.values) == _bits(a.covariates.values)
+
+
+@st.composite
+def _posteriors(draw) -> PosteriorSamples:
+    schema = tuple(draw(st.lists(_NAMES, min_size=1, max_size=3)))
+    p = len(schema)
+    g = draw(st.integers(1, 6))
+    chain = np.array(draw(st.lists(st.integers(0, 7), min_size=g, max_size=g)), dtype=np.int64)
+    iteration = np.array(draw(st.lists(st.integers(1, 10**9), min_size=g, max_size=g)),
+                         dtype=np.int64)
+    mat = np.array(draw(st.lists(st.lists(_VALUES, min_size=4 + 2 * p, max_size=4 + 2 * p),
+                                 min_size=g, max_size=g)))
+    return PosteriorSamples(
+        schema=schema, n_chains=int(np.unique(chain).size), chain=chain, iteration=iteration,
+        mu_default=mat[:, 0], sigma2_default=mat[:, 1], mu_prepay=mat[:, 2],
+        sigma2_prepay=mat[:, 3], theta_default=mat[:, 4 : 4 + p], theta_prepay=mat[:, 4 + p :],
+        acceptance={}, final_scales={},
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_posteriors())
+def test_draws_csv_roundtrip_is_bitwise_for_random_files(tmp_path_factory, samples):
+    f = tmp_path_factory.getbasetemp() / "random_draws.csv"
+    write_draws_csv(samples, f)
+    back = read_draws_csv(f)
+    assert back.schema == samples.schema
+    np.testing.assert_array_equal(back.chain, samples.chain)
+    np.testing.assert_array_equal(back.iteration, samples.iteration)
+    assert back.matrix().tobytes() == samples.matrix().tobytes()

@@ -123,21 +123,31 @@ def test_run_chain_reproducible_and_chain_id_distinct(bench_small):
     dataset, _ = bench_small
     prior = PriorSpec()
     config = SamplerConfig(n_chains=2, n_iters=200, burn_in=100, thin=2, seed=42)
-    a = run_chain(dataset, prior, config, chain_id=0)
-    b = run_chain(dataset, prior, config, chain_id=0)
-    c = run_chain(dataset, prior, config, chain_id=1)
+    like = PortfolioLikelihood(dataset)
+    a = run_chain(like, prior, config, chain_id=0)
+    b = run_chain(like, prior, config, chain_id=0)
+    c = run_chain(like, prior, config, chain_id=1)
     np.testing.assert_array_equal(a.mu_default, b.mu_default)
     np.testing.assert_array_equal(a.theta_prepay, b.theta_prepay)
     assert not np.array_equal(a.mu_default, c.mu_default)
 
 
-def test_run_sampler_thread_count_does_not_change_draws(bench_small):
+def test_run_sampler_stacks_chains_in_order(bench_small):
     dataset, _ = bench_small
+    prior = PriorSpec()
     config = SamplerConfig(n_chains=3, n_iters=120, burn_in=60, thin=2, seed=5)
-    s1 = run_sampler(dataset, config=config, n_threads=1)
-    s3 = run_sampler(dataset, config=config, n_threads=3)
-    assert s1.matrix().tobytes() == s3.matrix().tobytes()
-    np.testing.assert_array_equal(s1.chain, s3.chain)
+    s = run_sampler(dataset, prior, config)
+    chains = [run_chain(PortfolioLikelihood(dataset), prior, config, c) for c in range(3)]
+    expected = np.vstack([
+        np.column_stack([r.mu_default, r.sigma2_default, r.mu_prepay, r.sigma2_prepay,
+                         r.theta_default, r.theta_prepay])
+        for r in chains
+    ])
+    assert s.matrix().tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(s.chain, np.repeat([0, 1, 2], config.n_kept))
+    np.testing.assert_array_equal(s.iteration, np.concatenate([r.iterations for r in chains]))
+    for block, rates in s.acceptance.items():
+        assert rates.tolist() == [r.acceptance[block] for r in chains]
 
 
 def test_run_sampler_shapes_and_labels(bench_small):
@@ -285,5 +295,3 @@ def test_sampler_config_validation():
         SamplerConfig(thin=0)
     with pytest.raises(ValueError):
         SamplerConfig(n_chains=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(sigma2_shrink=0.0)
