@@ -86,6 +86,21 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
                 )
 
 
+def _numbers(path, line_no: int, names: list[str], cells: list[str], parse=float) -> list:
+    """``parse`` every cell; one that does not parse raises ValueError naming
+    ``path:line``, its column and its text."""
+    try:
+        return [parse(v) for v in cells]
+    except ValueError:
+        for name, raw in zip(names, cells):
+            try:
+                parse(raw)
+            except ValueError:
+                kind = "an integer" if parse is int else "a number"
+                raise ValueError(f"{path}:{line_no}: {name} {raw!r} is not {kind}") from None
+        raise
+
+
 def read_dataset_csv(path) -> Dataset:
     """Inverse of ``write_dataset_csv``.
 
@@ -126,15 +141,11 @@ def read_dataset_csv(path) -> Dataset:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(fixed) + len(schema):
                 raise ValueError(f"{path}:{line_no}: expected {len(fixed)+len(schema)} fields")
-            loan_id, status_s, time_s, maturity_s, obs_s = row[:5]
+            loan_id, status_s = row[:2]
             if status_s not in _STATUS_BY_VALUE:
                 raise ValueError(f"{path}:{line_no}: unknown status {status_s!r}")
-            head = (
-                loan_id,
-                _STATUS_BY_VALUE[status_s],
-                float(time_s),
-                float(maturity_s),
-            )
+            time, maturity, obs_time, *values = _numbers(path, line_no, header[2:], row[2:])
+            head = (loan_id, _STATUS_BY_VALUE[status_s], time, maturity)
             if current is None or current["loan_id"] != loan_id:
                 if current is not None:
                     flush(current)
@@ -151,8 +162,8 @@ def read_dataset_csv(path) -> Dataset:
                 }
             elif (current["status"], current["time"], current["maturity"]) != head[1:]:
                 raise ValueError(f"{path}:{line_no}: loan {loan_id} rows disagree on loan fields")
-            current["obs_times"].append(float(obs_s))
-            current["values"].append([float(v) for v in row[5:]])
+            current["obs_times"].append(obs_time)
+            current["values"].append(values)
         if current is not None:
             flush(current)
     return Dataset(loans=tuple(loans), schema=schema)
@@ -202,11 +213,17 @@ def read_draws_csv(path) -> PosteriorSamples:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 2 + 4 + 2 * p:
                 raise ValueError(f"{path}:{line_no}: wrong field count")
-            meta.append((int(row[0]), int(row[1])))
-            rows.append([float(v) for v in row[2:]])
+            meta.append(_numbers(path, line_no, header[:2], row[:2], int))
+            rows.append(_numbers(path, line_no, names, row[2:]))
     if not rows:
         raise ValueError(f"{path}: no draws")
     mat = np.array(rows)
+    bad = ~np.isfinite(mat)
+    bad[:, [1, 3]] |= mat[:, [1, 3]] <= 0.0  # the two variances
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        need = "positive and finite" if j in (1, 3) else "finite"
+        raise ValueError(f"{path}:{i + 2}: {names[j]} must be {need}, got {float(mat[i, j])!r}")
     chain = np.array([m[0] for m in meta], dtype=np.int64)
     iteration = np.array([m[1] for m in meta], dtype=np.int64)
     return PosteriorSamples(

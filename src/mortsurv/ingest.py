@@ -3,11 +3,12 @@
 The pipeline turns a pair of delimited files (one origination row per
 loan, many monthly performance rows per loan) into a modeling dataset:
 
-1. parse both files row by row, collecting typed records and per-row
-   rejects (a reject fraction above the configured threshold aborts);
+1. read both files once: one typed record per origination row, and the
+   performance rows folded, in file order, into one ``LoanHistory`` per
+   loan; rows that do not parse are rejected (a reject fraction above the
+   configured threshold aborts);
 2. label each loan Prepaid, Defaulted, Active, or Excluded from its
-   performance history, measuring event times in years with a one-month
-   floor;
+   history, measuring event times in years with a one-month floor;
 3. fit preprocessing statistics on the labeled loans (standardization
    for quantitative fields, low-frequency merging for categorical ones)
    and build one covariate vector per loan.
@@ -37,7 +38,7 @@ __all__ = [
     "IngestError",
     "ZeroVarianceError",
     "OriginationRecord",
-    "PerformanceRecord",
+    "LoanHistory",
     "RejectedRow",
     "ClassifiedLoan",
     "PreprocessSpec",
@@ -173,30 +174,26 @@ class OriginationRecord:
 
 
 @dataclass(frozen=True)
-class PerformanceRecord:
-    """One monthly performance row."""
-
-    loan_id: str
-    reporting_month: int
-    delinquency: str  # "" when blank; "R" marks REO
-    zero_balance: str  # "" while active, two-digit code at payoff
-    repurchase: str  # "", "Y", or "N"
-
-
-@dataclass(frozen=True)
 class RejectedRow:
     line_no: int
     reason: str
 
 
-def _split_line(line: str, delimiter: str) -> list[str]:
-    return [f.strip() for f in line.rstrip("\r\n").split(delimiter)]
+def _data_rows(path, schema: FileSchema):
+    """(line number, unstripped fields) of each non-blank, non-header line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 and schema.has_header:
+                continue
+            if not line.strip():
+                continue
+            yield line_no, line.rstrip("\r\n").split(schema.delimiter)
 
 
 def _cell(fields: list[str], col: int | None) -> str:
     if col is None or col >= len(fields):
         return ""
-    return fields[col]
+    return fields[col].strip()
 
 
 def read_origination_file(path, schema: FileSchema):
@@ -210,27 +207,21 @@ def read_origination_file(path, schema: FileSchema):
     records: list[OriginationRecord] = []
     rejects: list[RejectedRow] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 and schema.has_header:
-                continue
-            if not line.strip():
-                continue
-            fields = _split_line(line, schema.delimiter)
-            loan_id = _cell(fields, cols.get("loan_id"))
-            if not loan_id:
-                rejects.append(RejectedRow(line_no, "missing loan_id"))
-                continue
-            if loan_id in seen:
-                rejects.append(RejectedRow(line_no, f"duplicate loan_id {loan_id}"))
-                continue
-            try:
-                record = _parse_origination(loan_id, fields, schema)
-            except ValueError as exc:
-                rejects.append(RejectedRow(line_no, str(exc)))
-                continue
-            seen.add(loan_id)
-            records.append(record)
+    for line_no, fields in _data_rows(path, schema):
+        loan_id = _cell(fields, cols.get("loan_id"))
+        if not loan_id:
+            rejects.append(RejectedRow(line_no, "missing loan_id"))
+            continue
+        if loan_id in seen:
+            rejects.append(RejectedRow(line_no, f"duplicate loan_id {loan_id}"))
+            continue
+        try:
+            record = _parse_origination(loan_id, fields, schema)
+        except ValueError as exc:
+            rejects.append(RejectedRow(line_no, str(exc)))
+            continue
+        seen.add(loan_id)
+        records.append(record)
     return records, rejects
 
 
@@ -280,48 +271,6 @@ def _parse_origination(loan_id: str, fields: list[str], schema: FileSchema) -> O
     )
 
 
-def read_performance_file(path, schema: FileSchema):
-    """Parse monthly performance rows into records.
-
-    Returns (records, rejects).  Rows need a loan id and a parseable
-    reporting date; one-digit zero-balance codes are left-padded so the
-    file variants "1" and "01" compare equal.
-    """
-    cols = schema.performance_columns
-    records: list[PerformanceRecord] = []
-    rejects: list[RejectedRow] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 and schema.has_header:
-                continue
-            if not line.strip():
-                continue
-            fields = _split_line(line, schema.delimiter)
-            loan_id = _cell(fields, cols.get("loan_id"))
-            if not loan_id:
-                rejects.append(RejectedRow(line_no, "missing loan_id"))
-                continue
-            raw_date = _cell(fields, cols.get("reporting_date"))
-            try:
-                month = month_index(raw_date, schema.date_format)
-            except ValueError:
-                rejects.append(RejectedRow(line_no, f"bad reporting_date: {raw_date!r}"))
-                continue
-            zb = _cell(fields, cols.get("zero_balance"))
-            if len(zb) == 1:
-                zb = "0" + zb
-            records.append(
-                PerformanceRecord(
-                    loan_id=loan_id,
-                    reporting_month=month,
-                    delinquency=_cell(fields, cols.get("delinquency")),
-                    zero_balance=zb,
-                    repurchase=_cell(fields, cols.get("repurchase")).upper(),
-                )
-            )
-    return records, rejects
-
-
 @dataclass(frozen=True)
 class IngestConfig:
     """Categorization and preprocessing knobs.
@@ -332,7 +281,6 @@ class IngestConfig:
     """
 
     data_end: int = month_index("201401", "yyyymm")
-    default_zb_codes: tuple[str, ...] = DEFAULT_ZB_CODES
     prepaid_repurchase_values: tuple[str, ...] = ("N",)
     maturity_years: float = 30.0
     min_category_freq: float = 0.01
@@ -345,6 +293,81 @@ class IngestConfig:
             raise ValueError("max_reject_fraction must be in [0, 1]")
         if not (self.maturity_years > 0.0):
             raise ValueError("maturity_years must be positive")
+
+
+@dataclass(slots=True)
+class LoanHistory:
+    """What labeling needs from one loan's monthly performance rows.
+
+    Rows are folded in file order, in any month order.  ``last_zero_balance``
+    belongs to the last row in file order among those at ``last_month``;
+    ``n_rows`` counts the folded rows, duplicates included.
+    """
+
+    last_month: int
+    last_zero_balance: str
+    prepaid_month: int | None = None  # first month with an accepted voluntary payoff
+    default_month: int | None = None  # first month with a default code or REO
+    n_rows: int = 0
+
+    def add(
+        self,
+        month: int,
+        delinquency: str,
+        zero_balance: str,
+        repurchase: str,
+        accepted_repurchase: tuple[str, ...],
+    ) -> None:
+        """Fold one row: delinquency "R" marks REO, zero_balance is "" or two digits."""
+        self.n_rows += 1
+        if month >= self.last_month:
+            self.last_month = month
+            self.last_zero_balance = zero_balance
+        if (
+            zero_balance == "01"
+            and repurchase in accepted_repurchase
+            and (self.prepaid_month is None or month < self.prepaid_month)
+        ):
+            self.prepaid_month = month
+        if (zero_balance in DEFAULT_ZB_CODES or delinquency == "R") and (
+            self.default_month is None or month < self.default_month
+        ):
+            self.default_month = month
+
+
+def read_performance_file(path, schema: FileSchema, config: IngestConfig):
+    """Fold monthly performance rows into one ``LoanHistory`` per loan.
+
+    Returns (histories by loan id, rejects).  Rows need a loan id and a
+    parseable reporting date; one-digit zero-balance codes are left-padded
+    so the file variants "1" and "01" compare equal, and repurchase flags
+    are upper-cased.
+    """
+    cols = schema.performance_columns
+    id_col, date_col = cols["loan_id"], cols["reporting_date"]
+    dlq_col, rep_col, zb_col = (cols.get(k) for k in ("delinquency", "repurchase", "zero_balance"))
+    accepted = config.prepaid_repurchase_values
+    histories: dict[str, LoanHistory] = {}
+    rejects: list[RejectedRow] = []
+    for line_no, fields in _data_rows(path, schema):
+        loan_id = _cell(fields, id_col)
+        if not loan_id:
+            rejects.append(RejectedRow(line_no, "missing loan_id"))
+            continue
+        raw_date = _cell(fields, date_col)
+        try:
+            month = month_index(raw_date, schema.date_format)
+        except ValueError:
+            rejects.append(RejectedRow(line_no, f"bad reporting_date: {raw_date!r}"))
+            continue
+        zb = _cell(fields, zb_col)
+        if len(zb) == 1:
+            zb = "0" + zb
+        history = histories.get(loan_id)
+        if history is None:
+            history = histories[loan_id] = LoanHistory(month, zb)
+        history.add(month, _cell(fields, dlq_col), zb, _cell(fields, rep_col).upper(), accepted)
+    return histories, rejects
 
 
 @dataclass(frozen=True)
@@ -363,38 +386,26 @@ def _months_to_years(months: int) -> float:
 
 def categorize(
     origination_month: int | None,
-    history: list[PerformanceRecord],
+    history: LoanHistory | None,
     config: IngestConfig,
 ) -> tuple[LoanStatus | None, float | None, str]:
-    """Label one loan from its (sorted) monthly history.
+    """Label one loan from its folded history (None when it has no rows).
 
     The loan takes the chronologically first terminal event: Prepaid at
     the first voluntary-payoff month (zero balance 01 with an accepted
     repurchase flag), Defaulted at the first month with a default
     zero-balance code or REO delinquency, default winning a same-month
     tie.  Otherwise Active when the history reaches ``data_end`` with no
-    payoff code, else Excluded with a reason.  Scanning first qualifying
+    payoff code, else Excluded with a reason.  Taking first qualifying
     months makes the label insensitive to duplicated rows.
     """
     if origination_month is None:
         return None, None, "missing first_payment_date"
-    if not history:
+    if history is None:
         return None, None, "no performance history"
 
-    prepaid_month = None
-    default_month = None
-    for rec in history:
-        if (
-            prepaid_month is None
-            and rec.zero_balance == "01"
-            and rec.repurchase in config.prepaid_repurchase_values
-        ):
-            prepaid_month = rec.reporting_month
-        if default_month is None and (
-            rec.zero_balance in config.default_zb_codes or rec.delinquency == "R"
-        ):
-            default_month = rec.reporting_month
-
+    prepaid_month = history.prepaid_month
+    default_month = history.default_month
     if default_month is not None and (
         prepaid_month is None or default_month <= prepaid_month
     ):
@@ -408,15 +419,15 @@ def categorize(
             return None, None, "event precedes origination"
         return LoanStatus.PREPAID, _months_to_years(months), ""
 
-    last = history[-1]
-    if last.reporting_month >= config.data_end and last.zero_balance == "":
-        months = last.reporting_month - origination_month
+    last_zb = history.last_zero_balance
+    if history.last_month >= config.data_end and last_zb == "":
+        months = history.last_month - origination_month
         if months < 0:
             return None, None, "event precedes origination"
         return LoanStatus.ACTIVE, _months_to_years(months), ""
-    if last.zero_balance not in ("", "01"):
-        return None, None, f"terminal zero-balance code {last.zero_balance}"
-    if last.zero_balance == "01":
+    if last_zb not in ("", "01"):
+        return None, None, f"terminal zero-balance code {last_zb}"
+    if last_zb == "01":
         return None, None, "payoff with unaccepted repurchase flag"
     return None, None, "history ends before observation cutoff"
 
@@ -538,46 +549,32 @@ def fit_preprocess(
 
 def build_design(
     records: list[OriginationRecord], spec: PreprocessSpec
-) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, str]]]:
-    """Covariate vectors in ``spec.schema`` order, one per loan.
+) -> list[tuple[str, np.ndarray]]:
+    """(loan id, covariate vector in ``spec.schema`` order), one per loan.
 
-    Returns (rows, rejects) where rejects pair a loan id with the field
-    that blocked it.  Quantitative or state fields must be present;
-    missing categorical values fall to the "other" group like unseen
-    levels.
+    Every record must have its quantitative fields and state (see
+    ``_missing_required``); missing categorical values fall to the
+    "other" group like unseen levels.
     """
     state_set = frozenset(spec.judicial_states)
     rows: list[tuple[str, np.ndarray]] = []
-    rejects: list[tuple[str, str]] = []
-    schema = spec.schema
-    p = len(schema)
+    p = len(spec.schema)
     for rec in records:
         vec = np.zeros(p)
         pos = 0
-        ok = True
         for name in QUANT_FIELDS:
-            val = getattr(rec, name)
-            if val is None:
-                rejects.append((rec.loan_id, f"missing {name}"))
-                ok = False
-                break
             mean, sd = spec.quantitative[name]
-            vec[pos] = (val - mean) / sd
+            vec[pos] = (getattr(rec, name) - mean) / sd
             pos += 1
-        if not ok:
-            continue
         vec[pos] = 1.0  # intercept
         pos += 1
         for name in CAT_FIELDS[:2]:
             pos = _fill_indicators(vec, pos, rec, name, spec)
-        if rec.property_state is None:
-            rejects.append((rec.loan_id, "missing property_state"))
-            continue
         vec[pos] = 1.0 if rec.property_state in state_set else 0.0
         pos += 1
         pos = _fill_indicators(vec, pos, rec, CAT_FIELDS[2], spec)
         rows.append((rec.loan_id, vec))
-    return rows, rejects
+    return rows
 
 
 def _fill_indicators(
@@ -639,25 +636,20 @@ def ingest_portfolio(
     config = config if config is not None else IngestConfig()
 
     orig_records, orig_rejects = read_origination_file(origination_path, schema)
-    perf_records, perf_rejects = read_performance_file(performance_path, schema)
+    histories, perf_rejects = read_performance_file(performance_path, schema, config)
     _check_reject_fraction(
         len(orig_rejects), len(orig_records) + len(orig_rejects), "origination", config
     )
+    n_perf_rows = sum(h.n_rows for h in histories.values())
     _check_reject_fraction(
-        len(perf_rejects), len(perf_records) + len(perf_rejects), "performance", config
+        len(perf_rejects), n_perf_rows + len(perf_rejects), "performance", config
     )
-
-    history: dict[str, list[PerformanceRecord]] = {}
-    for rec in perf_records:
-        history.setdefault(rec.loan_id, []).append(rec)
-    for recs in history.values():
-        recs.sort(key=lambda r: r.reporting_month)
 
     classified: list[ClassifiedLoan] = []
     labeled: dict[str, tuple[LoanStatus, float]] = {}
     modeling: list[OriginationRecord] = []
     for rec in orig_records:
-        status, time, reason = categorize(rec.first_payment, history.get(rec.loan_id, []), config)
+        status, time, reason = categorize(rec.first_payment, histories.get(rec.loan_id), config)
         if status is not None:
             # exclude design-incomplete loans up front so the preprocessing
             # statistics are fitted on exactly the loans entering the dataset
@@ -672,12 +664,8 @@ def ingest_portfolio(
     if not modeling:
         raise IngestError("no loan survived categorization")
     spec = fit_preprocess(modeling, min_category_freq=config.min_category_freq)
-    rows, design_rejects = build_design(modeling, spec)
-    if design_rejects:
-        raise AssertionError(f"complete records rejected by build_design: {design_rejects}")
-
     loans = []
-    for loan_id, vec in rows:
+    for loan_id, vec in build_design(modeling, spec):
         status, time = labeled[loan_id]
         loans.append(
             LoanObservation(

@@ -403,3 +403,54 @@ def test_predict_count_flags_must_be_positive(sim_outputs, tmp_path, capsys, fla
     assert exc.value.code == 2
     assert f"argument {flag}: must be a positive integer, got 0" in err
     assert not out.exists()  # rejected before any output is opened
+
+
+def _edit_cell(src, dst, line_no, column, value):
+    """Copy a CSV file, replacing one cell (line numbers count the header as 1)."""
+    lines = src.read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    cells = lines[line_no - 1].split(",")
+    cells[col] = value
+    lines[line_no - 1] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, value, need", [
+    ("mu_default", "nan", "finite"),
+    ("sigma2_default", "-1.0", "positive and finite"),
+])
+@pytest.mark.parametrize("command", ["predict", "diagnose"])
+def test_draws_value_out_of_domain_exits_4(sim_outputs, tmp_path, capsys,
+                                           command, column, value, need):
+    draws = tmp_path / "draws.csv"
+    _edit_cell(sim_outputs / "draws.csv", draws, 3, column, value)
+    argv = [command, "--dataset", str(sim_outputs / "dataset.csv"),
+            "--draws", str(draws), "--out-dir", str(tmp_path / "out")]
+    rc = main(argv + (["--n-sims", "5"] if command == "predict" else []))
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{draws}:3: {column} must be {need}, got {value}" in err
+
+
+def test_dataset_unparseable_number_names_its_place(sim_outputs, tmp_path, capsys):
+    dataset = tmp_path / "dataset.csv"
+    _edit_cell(sim_outputs / "dataset.csv", dataset, 4, "time", "abc")
+    rc = main(["fit", "--dataset", str(dataset), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{dataset}:4: time 'abc' is not a number" in err
+
+
+@pytest.mark.parametrize("column, value, kind", [
+    ("iteration", "1.5", "an integer"),
+    ("theta_prepay:intercept", "abc", "a number"),
+])
+def test_draws_unparseable_number_names_its_place(sim_outputs, tmp_path, capsys,
+                                                  column, value, kind):
+    draws = tmp_path / "draws.csv"
+    _edit_cell(sim_outputs / "draws.csv", draws, 2, column, value)
+    rc = main(["predict", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--draws", str(draws), "--n-sims", "5", "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{draws}:2: {column} {value!r} is not {kind}" in err

@@ -262,8 +262,9 @@ def _posteriors(draw) -> PosteriorSamples:
     chain = np.array(draw(st.lists(st.integers(0, 7), min_size=g, max_size=g)), dtype=np.int64)
     iteration = np.array(draw(st.lists(st.integers(1, 10**9), min_size=g, max_size=g)),
                          dtype=np.int64)
-    mat = np.array(draw(st.lists(st.lists(_VALUES, min_size=4 + 2 * p, max_size=4 + 2 * p),
-                                 min_size=g, max_size=g)))
+    # the two variances are positive: the reader rejects sigma2 <= 0
+    row = st.tuples(_VALUES, _POSITIVE, _VALUES, _POSITIVE, *[_VALUES] * (2 * p)).map(list)
+    mat = np.array(draw(st.lists(row, min_size=g, max_size=g)))
     return PosteriorSamples(
         schema=schema, n_chains=int(np.unique(chain).size), chain=chain, iteration=iteration,
         mu_default=mat[:, 0], sigma2_default=mat[:, 1], mu_prepay=mat[:, 2],

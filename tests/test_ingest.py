@@ -3,13 +3,19 @@ and the end-to-end portfolio build."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortsurv import IngestConfig, IngestError, LoanStatus, ZeroVarianceError, ingest_portfolio
 from mortsurv.ingest import (
+    DEFAULT_ZB_CODES,
+    LoanHistory,
     OriginationRecord,
-    PerformanceRecord,
     PreprocessSpec,
     build_design,
     categorize,
@@ -58,8 +64,23 @@ def mon(ym):
 
 
 def perf(lid, ym, dlq="0", rep="", zb=""):
-    return PerformanceRecord(loan_id=lid, reporting_month=mon(ym),
-                             delinquency=dlq, zero_balance=zb, repurchase=rep)
+    """A row as folded: (month, delinquency, zero balance, repurchase); ``lid`` only names the case."""
+    return mon(ym), dlq, zb, rep
+
+
+def fold(rows, config):
+    """One loan's (month, delinquency, zero balance, repurchase) rows, folded in
+    list order by the call ``read_performance_file`` makes per row."""
+    if not rows:
+        return None
+    history = LoanHistory(rows[0][0], rows[0][2])
+    for month, dlq, zb, rep in rows:
+        history.add(month, dlq, zb, rep, config.prepaid_repurchase_values)
+    return history
+
+
+def label(origination_month, rows, config):
+    return categorize(origination_month, fold(rows, config), config)
 
 
 def record_stub(**kw):
@@ -131,10 +152,13 @@ def test_performance_zero_balance_left_padded(tmp_path):
     f = tmp_path / "perf.txt"
     f.write_text(prow("A1", "200506", zb="3") + "\n" +
                  prow("A1", "200507", rep="n", zb="01") + "\n")
-    records, rejects = read_performance_file(f, load_default_schema())
+    histories, rejects = read_performance_file(f, load_default_schema(), CFG)
     assert not rejects
-    assert records[0].zero_balance == "03"
-    assert records[1].repurchase == "N"  # uppercased
+    history = histories["A1"]
+    assert history.default_month == mon("200506")  # "3" is default code 03
+    assert history.prepaid_month == mon("200507")  # "n" upper-cased, an accepted "N"
+    assert history.last_zero_balance == "01"
+    assert history.n_rows == 2
 
 
 # --- outcome classification ------------------------------------------------------
@@ -142,33 +166,33 @@ def test_performance_zero_balance_left_padded(tmp_path):
 
 def test_prepayment_needs_accepted_repurchase_flag():
     hist = [perf("A", "200501"), perf("A", "200607", rep="N", zb="01")]
-    status, time, _ = categorize(mon("200501"), hist, CFG)
+    status, time, _ = label(mon("200501"), hist, CFG)
     assert status is LoanStatus.PREPAID
     assert time == pytest.approx(18 / 12)
 
     hist_bad = [perf("A", "200501"), perf("A", "200607", rep="Y", zb="01")]
-    status, time, reason = categorize(mon("200501"), hist_bad, CFG)
+    status, time, reason = label(mon("200501"), hist_bad, CFG)
     assert status is None
     assert "repurchase" in reason
 
 
 def test_blank_repurchase_accepted_only_when_configured():
     hist = [perf("A", "200501"), perf("A", "200607", rep="", zb="01")]
-    status, _, _ = categorize(mon("200501"), hist, CFG)
+    status, _, _ = label(mon("200501"), hist, CFG)
     assert status is None
     lax = IngestConfig(prepaid_repurchase_values=("N", ""))
-    status, _, _ = categorize(mon("200501"), hist, lax)
+    status, _, _ = label(mon("200501"), hist, lax)
     assert status is LoanStatus.PREPAID
 
 
 def test_default_codes_and_reo_delinquency():
     for zb in ("03", "06", "09"):
         hist = [perf("A", "200501"), perf("A", "200612", zb=zb)]
-        status, time, _ = categorize(mon("200501"), hist, CFG)
+        status, time, _ = label(mon("200501"), hist, CFG)
         assert status is LoanStatus.DEFAULTED
         assert time == pytest.approx(23 / 12)
     hist = [perf("A", "200501"), perf("A", "200612", dlq="R")]
-    status, _, _ = categorize(mon("200501"), hist, CFG)
+    status, _, _ = label(mon("200501"), hist, CFG)
     assert status is LoanStatus.DEFAULTED
 
 
@@ -178,61 +202,133 @@ def test_first_qualifying_month_wins():
         perf("A", "200502", zb="03"),
         perf("A", "200509", rep="N", zb="01"),
     ]
-    status, time, _ = categorize(mon("200501"), hist, CFG)
+    status, time, _ = label(mon("200501"), hist, CFG)
     assert status is LoanStatus.DEFAULTED
     assert time == pytest.approx(1 / 12)
 
 
 def test_same_month_event_floors_to_one_month():
     hist = [perf("A", "200501", rep="N", zb="01")]
-    status, time, _ = categorize(mon("200501"), hist, CFG)
+    status, time, _ = label(mon("200501"), hist, CFG)
     assert status is LoanStatus.PREPAID
     assert time == pytest.approx(1 / 12)
 
 
 def test_duplicated_history_rows_do_not_change_outcome():
     hist = [perf("A", "200501"), perf("A", "200607", rep="N", zb="01")]
-    doubled = sorted(hist + hist, key=lambda r: r.reporting_month)
-    assert categorize(mon("200501"), hist, CFG) == categorize(mon("200501"), doubled, CFG)
+    doubled = sorted(hist + hist, key=lambda r: r[0])
+    assert label(mon("200501"), hist, CFG) == label(mon("200501"), doubled, CFG)
 
 
 def test_active_needs_report_at_or_past_cutoff():
     live = [perf("A", "200501"), perf("A", "201401")]
-    status, time, _ = categorize(mon("200501"), live, CFG)
+    status, time, _ = label(mon("200501"), live, CFG)
     assert status is LoanStatus.ACTIVE
     assert time == pytest.approx((mon("201401") - mon("200501")) / 12)
 
     stale = [perf("A", "200501"), perf("A", "201312")]
-    status, _, reason = categorize(mon("200501"), stale, CFG)
+    status, _, reason = label(mon("200501"), stale, CFG)
     assert status is None
     assert "cutoff" in reason
 
 
 def test_unknown_terminal_code_excluded():
     hist = [perf("A", "200501"), perf("A", "200607", zb="15")]
-    status, _, reason = categorize(mon("200501"), hist, CFG)
+    status, _, reason = label(mon("200501"), hist, CFG)
     assert status is None
     assert "15" in reason
 
 
 def test_event_before_origination_excluded():
     hist = [perf("A", "200401", rep="N", zb="01")]
-    status, _, reason = categorize(mon("200501"), hist, CFG)
+    status, _, reason = label(mon("200501"), hist, CFG)
     assert status is None
     assert "precede" in reason
 
 
 def test_no_history_excluded():
-    status, _, reason = categorize(mon("200501"), [], CFG)
+    status, _, reason = label(mon("200501"), [], CFG)
     assert status is None
     assert "history" in reason
 
 
 def test_missing_first_payment_date_excluded():
     hist = [perf("A", "200501"), perf("A", "201402")]
-    status, _, reason = categorize(None, hist, CFG)
+    status, _, reason = label(None, hist, CFG)
     assert status is None
     assert "first_payment" in reason
+
+
+def reference_label(origination_month, rows, config):
+    """Labeling before the fold: a stable sort by month, then a scan."""
+    if origination_month is None:
+        return None, None, "missing first_payment_date"
+    if not rows:
+        return None, None, "no performance history"
+    history = sorted(rows, key=lambda r: r[0])
+    prepaid = next((m for m, _, zb, rep in history
+                    if zb == "01" and rep in config.prepaid_repurchase_values), None)
+    default = next((m for m, dlq, zb, _ in history
+                    if zb in DEFAULT_ZB_CODES or dlq == "R"), None)
+
+    def timed(status, month):
+        if month < origination_month:
+            return None, None, "event precedes origination"
+        return status, max(1, month - origination_month) / 12.0, ""
+
+    if default is not None and (prepaid is None or default <= prepaid):
+        return timed(LoanStatus.DEFAULTED, default)
+    if prepaid is not None:
+        return timed(LoanStatus.PREPAID, prepaid)
+    last_month, _, last_zb, _ = history[-1]
+    if last_month >= config.data_end and last_zb == "":
+        return timed(LoanStatus.ACTIVE, last_month)
+    if last_zb not in ("", "01"):
+        return None, None, f"terminal zero-balance code {last_zb}"
+    if last_zb == "01":
+        return None, None, "payoff with unaccepted repurchase flag"
+    return None, None, "history ends before observation cutoff"
+
+
+# (loan, months before/after the cutoff, delinquency, repurchase, zero balance) as written
+RAW_ROW = st.tuples(
+    st.integers(0, 2),
+    st.integers(-4, 2),
+    st.sampled_from(["0", "3", "R"]),
+    st.sampled_from(["", "N", "n", "Y"]),
+    st.sampled_from(["", "1", "01", "3", "03", "06", "09", "02", "15"]),
+)
+
+
+@st.composite
+def unsorted_rows(draw):
+    rows = draw(st.lists(RAW_ROW, max_size=12))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # exact duplicates
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=unsorted_rows(), origination=st.integers(-6, 0), blank_ok=st.booleans())
+def test_fold_labels_like_sorted_scan(rows, origination, blank_ok):
+    config = IngestConfig(prepaid_repurchase_values=("N", "") if blank_ok else ("N",))
+    end = config.data_end
+
+    def ym(month):
+        return f"{month // 12:04d}{month % 12 + 1:02d}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "perf.txt"
+        f.write_text("".join(prow(f"L{k}", ym(end + dm), dlq=dlq, rep=rep, zb=zb) + "\n"
+                             for k, dm, dlq, rep, zb in rows))
+        histories, rejects = read_performance_file(f, load_default_schema(), config)
+    assert not rejects
+    assert sum(h.n_rows for h in histories.values()) == len(rows)
+    for k in range(3):
+        loan_rows = [(end + dm, dlq, "0" + zb if len(zb) == 1 else zb, rep.upper())
+                     for j, dm, dlq, rep, zb in rows if j == k]
+        assert (categorize(end + origination, histories.get(f"L{k}"), config)
+                == reference_label(end + origination, loan_rows, config))
 
 
 # --- preprocessing ----------------------------------------------------------------
@@ -270,9 +366,7 @@ def test_unseen_level_maps_to_other_when_kept():
     recs = varied_records(
         200, property_type=lambda i: "SF" if i < 120 else ("CO" if i < 198 else "PU"))
     spec = fit_preprocess(recs, min_category_freq=0.015)
-    rows, missing = build_design([record_stub(property_type="MH")], spec)
-    assert not missing
-    (lid, x), = rows
+    (lid, x), = build_design([record_stub(property_type="MH")], spec)
     schema = list(spec.schema)
     assert x[schema.index("property_type:other")] == 1.0
     assert x[schema.index("property_type:CO")] == 0.0
@@ -282,19 +376,9 @@ def test_unseen_level_falls_to_baseline_without_other_group():
     recs = varied_records(12, property_type=lambda i: "SF" if i % 3 else "CO")
     spec = fit_preprocess(recs, min_category_freq=0.01)
     assert "other" not in spec.categorical["property_type"]["columns"]
-    rows, missing = build_design([record_stub(property_type="MH")], spec)
-    assert not missing
-    (_, x), = rows
+    (_, x), = build_design([record_stub(property_type="MH")], spec)
     schema = list(spec.schema)
     assert x[schema.index("property_type:CO")] == 0.0
-
-
-def test_missing_quantitative_reported_not_built():
-    recs = varied_records(10)
-    spec = fit_preprocess(recs)
-    rows, missing = build_design([record_stub(credit_score=None)], spec)
-    assert not rows
-    assert missing == [("X", "missing credit_score")]
 
 
 def test_judicial_state_membership():
@@ -394,6 +478,19 @@ def test_built_columns_are_standardized(toy_files):
     assert by_id["L003"] == 1.0  # NY
     assert by_id["L002"] == 0.0  # CA
     assert by_id["L004"] == 0.0  # TX
+
+
+def test_missing_property_state_excluded_not_built(toy_files):
+    orig, perf_file = toy_files
+    with orig.open("a") as fh:
+        fh.write(orow(lid="L007", cs="690", fpd="200501", state="", dti="35") + "\n")
+    with perf_file.open("a") as fh:
+        fh.write(prow("L007", "200501") + "\n" + prow("L007", "200606", rep="N", zb="01") + "\n")
+    result = ingest_portfolio(orig, perf_file)
+    reasons = {c.loan_id: c.reason for c in result.classified if c.status is None}
+    assert reasons["L007"] == "missing property_state"
+    assert "L007" not in {l.loan_id for l in result.dataset.loans}
+    assert result.counts["excluded"] == 3
 
 
 def test_reject_threshold_aborts(tmp_path):
