@@ -27,10 +27,9 @@ from . import fileio
 from .diagnostics import coverage_report
 from .ingest import FileSchema, IngestConfig, ingest_portfolio, month_index
 from .mcmc import PriorSpec, SamplerConfig, run_sampler, summarize
-from .model import Dataset, LoanStatus
-from .predict import classify, predictive_density, predictive_reliability
+from .model import Dataset, LoanStatus, RiskKind
+from .predict import RiskCurves, classify
 from .synth import make_benchmark
-from .model import RiskKind
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -132,10 +131,24 @@ def _curve_filename(loan_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", loan_id) + ".csv"
 
 
+def _curve_filenames(dataset: Dataset) -> list[str]:
+    """One curve file name per loan; two loans mapping to one name is an error."""
+    owner: dict[str, str] = {}
+    for loan in dataset.loans:
+        name = _curve_filename(loan.loan_id)
+        if name in owner:
+            raise ValueError(
+                f"loan ids {owner[name]!r} and {loan.loan_id!r} both map to curves/{name}"
+            )
+        owner[name] = loan.loan_id
+    return list(owner)
+
+
 def cmd_predict(args) -> None:
     dataset = fileio.read_dataset_csv(args.dataset)
     samples = fileio.read_draws_csv(args.draws)
     _check_schema(dataset, samples)
+    names = _curve_filenames(dataset) if args.curves else []
     out = _out_dir(args)
 
     with open(out / "classification.csv", "w", encoding="utf-8", newline="") as fh:
@@ -159,21 +172,28 @@ def cmd_predict(args) -> None:
     if args.curves:
         curve_dir = out / "curves"
         curve_dir.mkdir(exist_ok=True)
-        for loan in dataset.loans:
-            grid = np.linspace(loan.maturity / args.grid_points, loan.maturity, args.grid_points)
+        # the grid, and so each risk's baseline, is fixed by the maturity:
+        # visit loans by maturity and recompute it only when that changes
+        maturity = None
+        for name, loan in sorted(zip(names, dataset.loans), key=lambda nl: nl[1].maturity):
+            if loan.maturity != maturity:
+                maturity = loan.maturity
+                grid = np.linspace(maturity / args.grid_points, maturity, args.grid_points)
+                baselines = {}
             cols = {}
             for risk in RiskKind:
-                cols[f"reliability_{risk.value}"] = predictive_reliability(
-                    loan.covariates, samples, risk, grid
-                )
-                cols[f"density_{risk.value}"] = predictive_density(
-                    loan.covariates, samples, risk, grid
-                )
-            with open(curve_dir / _curve_filename(loan.loan_id), "w", encoding="utf-8", newline="") as fh:
+                curves = RiskCurves(loan.covariates, samples, risk)
+                if risk not in baselines:
+                    baselines[risk] = curves.baseline(grid)
+                rel, dens = curves.curves(grid, baselines[risk])
+                cols[f"reliability_{risk.value}"] = rel
+                cols[f"density_{risk.value}"] = dens
+            with open(curve_dir / name, "w", encoding="utf-8", newline="") as fh:
                 w = _writer(fh)
                 w.writerow(["time", *cols])
-                for k, t in enumerate(grid):
-                    w.writerow([_fmt(t), *(_fmt(cols[c][k]) for c in cols)])
+                # repr of a float is fileio.fmt_value's text for it
+                rows = np.column_stack([grid, *cols.values()]).tolist()
+                w.writerows(map(repr, row) for row in rows)
         print(f"wrote {dataset.n_loans} curve files under {curve_dir}")
 
 

@@ -7,6 +7,10 @@ The predictive law of one risk is thus a uniform mixture over the draws,
 sampled exactly: pick a draw, then invert its survival in closed form
 (``model.invert_cumulative_hazard``).  Draws falling beyond the
 configured horizon come back at the horizon, flagged as censored.
+
+``RiskCurves.curves`` returns reliability and density from one pass over
+the (draws x times) grid.  Its baseline part does not depend on the loan,
+so it can be computed once and shared by every loan on the same grid.
 """
 
 from __future__ import annotations
@@ -39,6 +43,12 @@ class RiskCurves:
     Precomputes per-draw weights exp(theta' x_j) and hazard capacities of
     the covariate intervals, then evaluates survival and density on time
     grids as (draws x times) arrays and samples event times.  Immutable.
+
+    ``curves`` gives reliability and density together.  Their baseline
+    part (``baseline``: the integrated baseline rate and the log baseline
+    hazard per draw and time) depends only on the draws, the risk and the
+    times, not on the loan, so one ``baseline`` serves every loan's
+    ``curves`` for the same risk on the same grid.
     """
 
     def __init__(self, path: CovariatePath, samples: PosteriorSamples, risk: RiskKind):
@@ -92,16 +102,33 @@ class RiskCurves:
         times = _check_times(times)
         return np.exp(self._log_survival(times)).mean(axis=0)
 
-    def density(self, times) -> np.ndarray:
-        """Draw-averaged event-time density on a grid of positive times."""
+    def baseline(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Per draw on a grid of positive times, (G, k) each: the integrated
+        baseline rate h0 and the log baseline hazard log f0 + h0."""
         times = _check_times(times)
         logt = np.log(times)[None, :]
         z = (logt - self._mu) / self._sigma
         h0 = -sps.log_ndtr(-z)
         log_pdf = -0.5 * np.log(2.0 * math.pi * self._sigma**2) - logt - 0.5 * z * z
+        return h0, log_pdf + h0
+
+    def curves(self, times, baseline=None) -> tuple[np.ndarray, np.ndarray]:
+        """Draw-averaged (reliability, density) on a grid of positive times.
+
+        ``baseline`` is ``baseline(times)`` of any ``RiskCurves`` over the
+        same draws and risk; it is computed here when not given.
+        """
+        times = _check_times(times)
+        h0, log_rate = self.baseline(times) if baseline is None else baseline
+        if h0.shape != (self.n_draws, times.size):
+            raise ValueError(
+                f"baseline has shape {h0.shape}, grid needs {(self.n_draws, times.size)}"
+            )
+        log_s = self._log_survival(times, h0)
         eta_at_t = self._etas[:, np.searchsorted(self._bounds, times, side="left") - 1]
         with np.errstate(over="ignore"):
-            return np.exp(log_pdf + h0 + eta_at_t + self._log_survival(times, h0)).mean(axis=0)
+            density = np.exp(log_rate + eta_at_t + log_s).mean(axis=0)
+        return np.exp(log_s).mean(axis=0), density
 
     def invert(self, g: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
         """Times at which draw g[i]'s cumulative hazard reaches cumhaz[i]."""
@@ -141,7 +168,7 @@ def predictive_density(
     path: CovariatePath, samples: PosteriorSamples, risk: RiskKind, times
 ) -> np.ndarray:
     """Posterior-mean event-time density of one risk on a time grid."""
-    return RiskCurves(path, samples, risk).density(times)
+    return RiskCurves(path, samples, risk).curves(times)[1]
 
 
 @dataclass(frozen=True)

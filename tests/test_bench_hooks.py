@@ -3,7 +3,8 @@
 ``bench/spans.py`` times the package by patching module attributes.  A
 hooked function that is renamed, or that the program calls through a
 reference captured at import time, leaves its per-layer metric with no
-samples and no error.  A tiny traced ``fit`` catches both.
+samples and no error.  A tiny traced ``fit`` and ``predict --curves``
+catch both.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from mortsurv import cli, mcmc
+from mortsurv import cli, fileio, mcmc
+
+from conftest import params_small, samples_at
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -56,3 +59,30 @@ def test_traced_fit_records_every_sampler_and_likelihood_hook(tmp_path, monkeypa
     for name in ("mcmc.update_theta", "mcmc.update_mu", "mcmc.update_sigma2",
                  "mcmc.run_chain", "likelihood.coef_parts", "likelihood.baseline_parts"):
         assert counts.get(name, 0) > 0, name
+
+
+def test_traced_predict_records_classify(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is read only
+    import spans
+
+    (tmp_path / "sim.json").write_text(json.dumps(SIM))
+    assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+    schema = fileio.read_dataset_csv(tmp_path / "dataset.csv").schema
+    fileio.write_draws_csv(samples_at(params_small(3), n_draws=8, jitter=0.1, schema=schema),
+                           tmp_path / "draws.csv")
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["predict", "--dataset", str(tmp_path / "dataset.csv"),
+                       "--draws", str(tmp_path / "draws.csv"), "--n-sims", "10", "--curves",
+                       "--grid-points", "5", "--out-dir", str(tmp_path / "predict")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert rc == 0
+    assert tracer.missing == []
+    assert sum(span.name == "predict.classify" for span in tracer.spans()) == SIM["n_loans"]

@@ -11,9 +11,18 @@ import json
 import numpy as np
 import pytest
 
+from mortsurv import CovariatePath, Dataset, LoanObservation, LoanStatus, RiskKind
 from mortsurv.cli import main
-from mortsurv.fileio import read_dataset_csv, read_draws_csv
+from mortsurv.fileio import (
+    fmt_value,
+    read_dataset_csv,
+    read_draws_csv,
+    write_dataset_csv,
+    write_draws_csv,
+)
+from mortsurv.predict import predictive_density, predictive_reliability
 
+from conftest import params_small, samples_at
 from test_ingest import orow, prow
 
 
@@ -110,6 +119,56 @@ def test_predict_curve_files(sim_outputs, capsys):
     assert len(lines) == 13
     rel = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(b <= a for a, b in zip(rel, rel[1:]))  # survival decreasing
+
+
+def _write_book(tmp_path, loan_ids, maturities):
+    """A dataset alternating constant and step paths, and a 12-draw file."""
+    paths = [
+        CovariatePath.constant(np.array([1.0, 0.4, -0.3])),
+        CovariatePath(obs_times=np.array([0.8, 2.0, 5.0]),
+                      values=np.array([[1.0, 0.5, -1.2], [1.0, 0.8, 0.3], [1.0, -1.5, 2.0]])),
+    ]
+    loans = [
+        LoanObservation(loan_id, LoanStatus.ACTIVE, maturity / 2, paths[i % 2], maturity)
+        for i, (loan_id, maturity) in enumerate(zip(loan_ids, maturities))
+    ]
+    samples = samples_at(params_small(3), n_draws=12, jitter=0.2, seed=3)
+    write_dataset_csv(Dataset(loans=tuple(loans), schema=samples.schema), tmp_path / "book.csv")
+    write_draws_csv(samples, tmp_path / "draws.csv")
+    return ["predict", "--dataset", str(tmp_path / "book.csv"),
+            "--draws", str(tmp_path / "draws.csv"), "--n-sims", "20", "--curves",
+            "--grid-points", "9", "--out-dir", str(tmp_path / "out")]
+
+
+def test_predict_curves_equal_per_loan_reference_across_maturities(tmp_path, capsys):
+    maturities = [30.0, 15.0, 30.0, 7.5, 15.0, 30.0, 7.5, 15.0]  # interleaved
+    ids = [f"L{k}" for k in range(len(maturities))]
+    assert main(_write_book(tmp_path, ids, maturities)) == 0
+    capsys.readouterr()
+    dataset = read_dataset_csv(tmp_path / "book.csv")
+    samples = read_draws_csv(tmp_path / "draws.csv")
+    for loan in dataset.loans:
+        grid = np.linspace(loan.maturity / 9, loan.maturity, 9)
+        cols = []
+        for risk in RiskKind:
+            cols.append(predictive_reliability(loan.covariates, samples, risk, grid))
+            cols.append(predictive_density(loan.covariates, samples, risk, grid))
+        rows = ["time,reliability_default,density_default,reliability_prepay,density_prepay"]
+        rows += [",".join(fmt_value(v) for v in (t, *(c[k] for c in cols)))
+                 for k, t in enumerate(grid)]
+        text = (tmp_path / "out" / "curves" / f"{loan.loan_id}.csv").read_text()
+        assert text == "\n".join(rows) + "\n", loan.loan_id
+
+
+def test_predict_curve_file_name_collision_exits_4(tmp_path, capsys):
+    argv = _write_book(tmp_path, ["a b", "c", "a_b"], [30.0, 30.0, 30.0])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "'a b'" in err and "'a_b'" in err and "curves/a_b.csv" in err
+    assert not (tmp_path / "out" / "classification.csv").exists()
+    assert not (tmp_path / "out" / "curves").exists()
+    # without --curves no file is named after a loan, so the ids are fine
+    assert main([a for a in argv if a != "--curves"]) == 0
 
 
 def test_predict_deterministic_across_runs(sim_outputs, capsys):

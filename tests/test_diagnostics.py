@@ -59,7 +59,7 @@ def _quad_moments(path, samples, risk, horizon):
 
     def moment(k):
         def f(t):
-            return float(curves.density(np.array([t]))[0]) * t**k
+            return float(curves.curves(np.array([t]))[1][0]) * t**k
 
         return quad(f, 0.0, horizon, points=breaks, limit=500, epsabs=0.0, epsrel=1e-10)[0]
 

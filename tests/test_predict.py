@@ -300,3 +300,104 @@ def test_times_must_be_positive(point_samples, two_interval_path):
     with pytest.raises(ValueError):
         predictive_reliability(two_interval_path, samples, RiskKind.DEFAULT,
                                np.array([0.0, 1.0]))
+
+
+def _parent_reliability(curves, times):
+    """``RiskCurves.reliability`` as it was before ``curves`` existed."""
+    return np.exp(curves._log_survival(times)).mean(axis=0)
+
+
+def _parent_density(curves, times):
+    """The deleted ``RiskCurves.density``, kept as the reference for ``curves``."""
+    logt = np.log(times)[None, :]
+    z = (logt - curves._mu) / curves._sigma
+    h0 = -sps.log_ndtr(-z)
+    log_pdf = -0.5 * np.log(2.0 * math.pi * curves._sigma**2) - logt - 0.5 * z * z
+    eta_at_t = curves._etas[:, np.searchsorted(curves._bounds, times, side="left") - 1]
+    with np.errstate(over="ignore"):
+        return np.exp(log_pdf + h0 + eta_at_t + curves._log_survival(times, h0)).mean(axis=0)
+
+
+# the step path's grid also hits each covariate boundary
+_STEP_GRID = np.concatenate([np.linspace(0.1, 12.0, 119), [0.8, 2.0, 5.0, 9.0]])
+_CURVE_CASES = {
+    "constant": (_KERNEL_PATHS["constant"], np.linspace(0.25, 30.0, 120), None),
+    "step": (_KERNEL_PATHS["step"], _STEP_GRID, None),
+    "eta>700": (_KERNEL_PATHS["step"], _STEP_GRID, 800.0),
+    "underflow": (_KERNEL_PATHS["step"], np.geomspace(1e-20, 1e60, 160), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_CURVE_CASES))
+def test_curves_bitwise_equal_parent_formulas(case):
+    path, times, clamp = _CURVE_CASES[case]
+    samples = samples_at(params_small(3), n_draws=40, n_chains=2, jitter=0.3, seed=5)
+    if clamp is not None:
+        for theta in (samples.theta_default, samples.theta_prepay):
+            theta[::7, 0] = clamp  # inf weights on some draws
+    other = CovariatePath.constant(np.array([1.0, 1.7, -0.4]))  # another loan, same grid
+    for risk in RiskKind:
+        curves = RiskCurves(path, samples, risk)
+        rel, dens = _parent_reliability(curves, times), _parent_density(curves, times)
+        if case == "underflow":
+            assert rel[0] == 1.0 and rel[-1] == 0.0 and dens[0] == 0.0 and dens[-1] == 0.0
+        shared = RiskCurves(other, samples, risk).baseline(times)
+        for got in (curves.curves(times), curves.curves(times, shared)):
+            assert np.array_equal(got[0], rel)
+            assert np.array_equal(got[1], dens)
+        assert np.array_equal(curves.reliability(times), rel)
+
+
+def test_curves_rejects_baseline_of_another_grid(spread_samples, two_interval_path):
+    _, samples = spread_samples
+    curves = RiskCurves(two_interval_path, samples, RiskKind.DEFAULT)
+    with pytest.raises(ValueError, match="baseline has shape"):
+        curves.curves(np.array([1.0, 2.0, 3.0]), curves.baseline(np.array([1.0, 2.0])))
+
+
+def _exact_outcome_law(path, samples, maturity):
+    """(p_default, p_prepay, p_mature) of the race ``classify`` simulates.
+
+    The two latent times are independent, so p_mature = R_d(m) R_p(m) and
+    p_default is the integral over (0, m] of f_d R_p, here by 8-point
+    Gauss-Legendre on 64 panels per covariate interval.
+    """
+    d = RiskCurves(path, samples, RiskKind.DEFAULT)
+    p = RiskCurves(path, samples, RiskKind.PREPAY)
+    p_mature = float(d.reliability([maturity])[0] * p.reliability([maturity])[0])
+    inner = [b for b in path.boundaries[1:-1] if b < maturity]
+    edges = np.concatenate([np.linspace(a, b, 65) for a, b in
+                            zip([0.0, *inner], [*inner, maturity])])
+    lo, hi = edges[:-1][np.diff(edges) > 0], edges[1:][np.diff(edges) > 0]
+    x, w = np.polynomial.legendre.leggauss(8)
+    half = (hi - lo)[:, None] / 2.0
+    t = ((lo + hi)[:, None] / 2.0 + half * x).ravel()
+    p_default = float(np.sum((half * w).ravel() * d.curves(t)[1] * p.curves(t)[0]))
+    return p_default, 1.0 - p_default - p_mature, p_mature
+
+
+_LAW_PATHS = {
+    "constant": CovariatePath.constant(np.array([1.0, -0.6, -0.8])),
+    "step": CovariatePath(
+        obs_times=np.array([0.8, 2.0, 5.0, 9.0]),
+        values=np.array(
+            [[1.0, -0.5, -1.2], [1.0, -0.8, -0.3], [1.0, -1.5, -1.0], [1.0, 0.0, -1.1]]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_PATHS))
+def test_classify_matches_exact_outcome_law(name):
+    # draws whose default and prepay baselines move together: the law
+    # classify samples pairs them independently, so a draw index shared by
+    # the two risks would show as far too many maturities
+    base = samples_at(params_small(3), n_draws=8, n_chains=2)
+    shift = np.tile([-0.8, 0.8], 4)
+    samples = replace(base, mu_default=base.mu_default + shift, mu_prepay=base.mu_prepay + shift)
+    path, maturity, n = _LAW_PATHS[name], 30.0, 200_000
+    exact = np.array(_exact_outcome_law(path, samples, maturity))
+    assert 0.003 < exact[2] < 0.05  # a rare outcome, as in the benchmark's pooled check
+    res = classify(path, samples, maturity, n, np.random.default_rng(3))
+    counts = np.array([res.n_default, res.n_prepay, res.n_mature])
+    assert np.all(np.abs(counts - n * exact) <= 5.0 * np.sqrt(n * exact * (1.0 - exact)))
