@@ -9,9 +9,10 @@ defaulted and prepaid loans.
 
 Moments and intervals come from the draw-averaged reliability R on one
 log-time grid per loan, from where every draw's cumulative hazard is
-1e-12 up to the horizon H, with Simpson weights in log-time between the
-covariate boundaries.  By parts, E[T 1{T<=H}] = int_0^H (R(t) - R(H)) dt
-and E[T^2 1{T<=H}] = 2 int_0^H t (R(t) - R(H)) dt; moments are given
+1e-12 up to the horizon H: 8 Gauss-Legendre nodes per panel of at most
+one unit of log-time, with panel edges at the covariate switch points,
+where R has kinks.  By parts, E[T 1{T<=H}] = int_0^H (R(t) - R(H)) dt and
+E[T^2 1{T<=H}] = 2 int_0^H t (R(t) - R(H)) dt; moments are given
 conditional on (0, H], with the tail mass R(H) alongside.  Interval
 endpoints are bracketed on the grid, then refined by regula falsi.
 """
@@ -41,7 +42,7 @@ __all__ = [
 
 _TAIL_CUMHAZ = 1e-12  # every draw's cumulative hazard at the lowest node is below this
 _SPAN = (1e-12, 1e-3)  # the lowest node lies within these multiples of the horizon
-_NODES_PER_UNIT = 64  # grid nodes per unit of log-time
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)  # per panel of log-time
 _BLOCK = 256  # nodes per reliability evaluation, bounding the (draws x nodes) array
 _REFINE_STEPS = 12
 
@@ -64,13 +65,13 @@ class _MixtureGrid:
         edges = [float(np.clip(lowest.min(), _SPAN[0] * horizon, _SPAN[1] * horizon))]
         edges += [b for b in curves.path.boundaries[1:-1] if edges[0] < b < horizon] + [horizon]
         t, w = [edges[0]], [0.0]
-        for a, b in zip(edges[:-1], edges[1:]):  # composite Simpson in s = log t
-            n = 2 * math.ceil(_NODES_PER_UNIT * math.log(b / a) / 2)
-            s = np.linspace(math.log(a), math.log(b), n + 1)
-            dt = np.r_[1.0, 3.0 - (-1.0) ** np.arange(1, n), 1.0] * (s[1] - s[0]) / 3.0 * np.exp(s)
-            w[-1] += dt[0]
-            w += list(dt[1:])
-            t += [*np.exp(s[1:-1]), b]
+        for a, b in zip(edges[:-1], edges[1:]):  # Gauss-Legendre panels in s = log t
+            n = max(math.ceil(math.log(b / a)), 1)
+            half = 0.5 * math.log(b / a) / n
+            mid = math.log(a) + half * np.arange(1, 2 * n, 2)
+            nodes = np.exp((mid[:, None] + half * _GL_NODES).ravel())
+            t += [*nodes, b]
+            w += [*(half * np.tile(_GL_WEIGHTS, n) * nodes), 0.0]
         self.curves, self.horizon, self.t, self.w = curves, horizon, np.array(t), np.array(w)
         blocks = np.split(self.t, range(_BLOCK, self.t.size, _BLOCK))
         self.rel = np.concatenate([curves.reliability(part) for part in blocks])

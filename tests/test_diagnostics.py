@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -68,6 +69,15 @@ def _quad_moments(path, samples, risk, horizon):
     return mean, math.sqrt(m2 / mass - mean * mean), mass
 
 
+_PATHS = {
+    "constant": CovariatePath.constant(np.array([1.0, 0.2, 0.0])),
+    "step": CovariatePath(
+        obs_times=np.array([1.0, 2.5, 6.0]),
+        values=np.array([[1.0, 0.5, -1.2], [1.0, 0.8, 0.3], [1.0, -1.0, 1.0]]),
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "case, risk, horizon",
     [
@@ -79,20 +89,60 @@ def _quad_moments(path, samples, risk, horizon):
 )
 def test_grid_moments_match_quadrature(case, risk, horizon):
     samples = samples_at(params_small(3), n_draws=30, n_chains=2, jitter=0.2, seed=1)
-    path = {
-        "constant": CovariatePath.constant(np.array([1.0, 0.2, 0.0])),
-        "step": CovariatePath(
-            obs_times=np.array([1.0, 2.5, 6.0]),
-            values=np.array([[1.0, 0.5, -1.2], [1.0, 0.8, 0.3], [1.0, -1.0, 1.0]]),
-        ),
-    }[case]
+    path = _PATHS[case]
     m = predictive_moments(path, samples, risk, horizon=horizon)
     mean, sd, mass = _quad_moments(path, samples, risk, horizon)
-    assert m.mean == pytest.approx(mean, rel=1e-5)
-    assert m.sd == pytest.approx(sd, rel=1e-5)
-    assert 1.0 - m.tail_mass == pytest.approx(mass, rel=1e-7)
+    assert m.mean == pytest.approx(mean, rel=1e-10)
+    assert m.sd == pytest.approx(sd, rel=1e-10)
+    assert 1.0 - m.tail_mass == pytest.approx(mass, rel=1e-10)
     if horizon < 10.0:
         assert m.tail_mass > 0.9
+
+
+def _mp_moments(path, samples, risk, horizon):
+    """Reference at the working precision: mean, sd and mass of the draw mixture
+    on (0, H], integrating t^k f(t) in s = log t between the covariate boundaries."""
+    d = risk is RiskKind.DEFAULT
+    draws = [
+        (mp.mpf(mu), mp.sqrt(sigma2), [mp.exp(mp.fdot(theta, row)) for row in path.values])
+        for mu, sigma2, theta in zip(
+            samples.mu_default if d else samples.mu_prepay,
+            samples.sigma2_default if d else samples.sigma2_prepay,
+            samples.theta_default if d else samples.theta_prepay,
+        )
+    ]
+    bounds = [mp.mpf(b) for b in path.boundaries[:-1]]  # s_0 = 0 < ... < s_{m-1}
+
+    def draw_density(mu, sigma, weights, t):
+        def h0(x):  # integrated baseline rate -log(1 - Phi(z)), zero at time 0
+            return -mp.log(mp.ncdf(-(mp.log(x) - mu) / sigma)) if x > 0 else mp.mpf(0)
+
+        j = max(i for i, b in enumerate(bounds) if b < t)  # t lies in (s_j, s_j+1]
+        edges = bounds[: j + 1] + [t]
+        cumhaz = mp.fsum(weights[i] * (h0(edges[i + 1]) - h0(edges[i])) for i in range(j + 1))
+        z = (mp.log(t) - mu) / sigma
+        return weights[j] * mp.npdf(z) / (sigma * t * mp.ncdf(-z)) * mp.exp(-cumhaz)
+
+    def integrand(s, k):
+        t = mp.exp(s)
+        return t ** (k + 1) * mp.fsum(draw_density(*draw, t) for draw in draws) / len(draws)
+
+    cuts = [-mp.inf] + [mp.log(b) for b in bounds[1:] if b < horizon] + [mp.log(horizon)]
+    m0, m1, m2 = (mp.quad(lambda s, k=k: integrand(s, k), cuts) for k in range(3))
+    mean = m1 / m0
+    return float(mean), float(mp.sqrt(m2 / m0 - mean * mean)), float(m0)
+
+
+@pytest.mark.parametrize("case", ["constant", "step"])
+def test_grid_moments_match_mpmath(case):
+    samples = samples_at(params_small(3), n_draws=3, n_chains=1, jitter=0.2, seed=5)
+    path = _PATHS[case]
+    m = predictive_moments(path, samples, RiskKind.DEFAULT, horizon=300.0)
+    with mp.workdps(30):
+        mean, sd, mass = _mp_moments(path, samples, RiskKind.DEFAULT, 300.0)
+    assert m.mean == pytest.approx(mean, rel=1e-10)
+    assert m.sd == pytest.approx(sd, rel=1e-10)
+    assert 1.0 - m.tail_mass == pytest.approx(mass, rel=1e-10)
 
 
 def test_moments_tail_mass_counts_events_past_horizon(spread_samples):

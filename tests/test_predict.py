@@ -109,6 +109,18 @@ def test_curve_inversion_hits_requested_levels(spread_samples, two_interval_path
     back = curves.reliability(times)
     np.testing.assert_allclose(back, u, rtol=1e-8, atol=1e-10)
 
+    # levels crossed just after each covariate boundary of a step path, where
+    # the bracket runs from the boundary to the first node of its panel
+    step = _KERNEL_PATHS["step"]
+    for risk in RiskKind:
+        curves = RiskCurves(step, samples, risk)
+        bounds = step.boundaries[1:-1]
+        u = curves.reliability(np.concatenate([bounds * (1 + 1e-9), bounds * (1 + 1e-4),
+                                               bounds * 1.01]))
+        times, censored = _MixtureGrid(curves, horizon=300.0).quantiles(u)
+        assert not censored.any()
+        np.testing.assert_allclose(curves.reliability(times), u, rtol=0.0, atol=1e-12)
+
 
 def test_curve_inversion_censors_past_horizon(spread_samples, two_interval_path):
     _, samples = spread_samples
