@@ -14,7 +14,6 @@ or configuration, 5 sampler finished but failed the convergence gate.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -54,14 +53,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _fmt(v) -> str:
-    return fileio.fmt_value(v)
 
 
 def cmd_simulate(args) -> None:
@@ -151,22 +142,18 @@ def cmd_predict(args) -> None:
     names = _curve_filenames(dataset) if args.curves else []
     out = _out_dir(args)
 
-    with open(out / "classification.csv", "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["loan_id", "p_default", "p_prepay", "p_mature", "n_sims", "n_horizon_capped"])
+    def classified():
         for i, loan in enumerate(dataset.loans):
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
             res = classify(loan.covariates, samples, loan.maturity, args.n_sims, rng)
-            w.writerow(
-                [
-                    loan.loan_id,
-                    _fmt(res.p_default),
-                    _fmt(res.p_prepay),
-                    _fmt(res.p_mature),
-                    res.n_sims,
-                    res.n_horizon_capped,
-                ]
-            )
+            yield [loan.loan_id, res.p_default, res.p_prepay, res.p_mature, res.n_sims,
+                   res.n_horizon_capped]
+
+    fileio.write_csv(
+        out / "classification.csv",
+        ["loan_id", "p_default", "p_prepay", "p_mature", "n_sims", "n_horizon_capped"],
+        classified(),
+    )
     print(f"classified {dataset.n_loans} loans -> {out / 'classification.csv'}")
 
     if args.curves:
@@ -188,12 +175,8 @@ def cmd_predict(args) -> None:
                 rel, dens = curves.curves(grid, baselines[risk])
                 cols[f"reliability_{risk.value}"] = rel
                 cols[f"density_{risk.value}"] = dens
-            with open(curve_dir / name, "w", encoding="utf-8", newline="") as fh:
-                w = _writer(fh)
-                w.writerow(["time", *cols])
-                # repr of a float is fileio.fmt_value's text for it
-                rows = np.column_stack([grid, *cols.values()]).tolist()
-                w.writerows(map(repr, row) for row in rows)
+            rows = np.column_stack([grid, *cols.values()]).tolist()
+            fileio.write_csv(curve_dir / name, ["time", *cols], rows)
         print(f"wrote {dataset.n_loans} curve files under {curve_dir}")
 
 
@@ -204,28 +187,23 @@ def cmd_diagnose(args) -> None:
     out = _out_dir(args)
     report = coverage_report(dataset.loans, samples, level=args.level)
 
-    with open(out / "residuals.csv", "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(
-            ["loan_id", "status", "residual", "quantile", "interval_low", "interval_high", "in_interval"]
-        )
-        for r in report.rows:
-            w.writerow(
-                [
-                    r.loan_id,
-                    r.status.value,
-                    _fmt(r.residual),
-                    _fmt(r.quantile),
-                    _fmt(r.interval_low),
-                    _fmt(r.interval_high),
-                    int(r.in_interval),
-                ]
-            )
-    with open(out / "coverage.csv", "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["category", "level", "n_loans", "n_hits", "rate"])
-        for name, cell in (("default", report.defaulted), ("prepaid", report.prepaid)):
-            w.writerow([name, _fmt(args.level), cell.n_loans, cell.n_hits, _fmt(cell.rate)])
+    fileio.write_csv(
+        out / "residuals.csv",
+        ["loan_id", "status", "residual", "quantile", "interval_low", "interval_high", "in_interval"],
+        (
+            [r.loan_id, r.status.value, r.residual, r.quantile, r.interval_low, r.interval_high,
+             int(r.in_interval)]
+            for r in report.rows
+        ),
+    )
+    fileio.write_csv(
+        out / "coverage.csv",
+        ["category", "level", "n_loans", "n_hits", "rate"],
+        (
+            [name, args.level, cell.n_loans, cell.n_hits, cell.rate]
+            for name, cell in (("default", report.defaulted), ("prepaid", report.prepaid))
+        ),
+    )
 
     print(f"diagnosed {len(report.rows)} terminated loans -> {out / 'residuals.csv'}")
     for name, cell, status in (
@@ -261,30 +239,28 @@ def cmd_ingest(args) -> int:
     result = ingest_portfolio(args.origination, args.performance, schema, config)
 
     fileio.write_dataset_csv(result.dataset, out / "dataset.csv")
-    with open(out / "preprocess.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(result.preprocess.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "classified.csv", "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["loan_id", "status", "time", "reason"])
-        for c in result.classified:
-            w.writerow(
-                [
-                    c.loan_id,
-                    c.status.value if c.status is not None else "excluded",
-                    _fmt(c.time) if c.time is not None else "",
-                    c.reason,
-                ]
+    fileio.write_json(result.preprocess.to_json_dict(), out / "preprocess.json")
+    fileio.write_csv(
+        out / "classified.csv",
+        ["loan_id", "status", "time", "reason"],
+        (
+            [c.loan_id, c.status.value if c.status is not None else "excluded",
+             "" if c.time is None else c.time, c.reason]
+            for c in result.classified
+        ),
+    )
+    fileio.write_csv(
+        out / "rejects.csv",
+        ["file", "line", "reason"],
+        (
+            [label, r.line_no, r.reason]
+            for label, rejects in (
+                ("origination", result.origination_rejects),
+                ("performance", result.performance_rejects),
             )
-    with open(out / "rejects.csv", "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["file", "line", "reason"])
-        for label, rejects in (
-            ("origination", result.origination_rejects),
-            ("performance", result.performance_rejects),
-        ):
-            for r in rejects:
-                w.writerow([label, r.line_no, r.reason])
+            for r in rejects
+        ),
+    )
 
     print(f"ingested {result.dataset.n_loans} loans -> {out / 'dataset.csv'}")
     for key in sorted(result.counts):

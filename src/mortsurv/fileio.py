@@ -1,6 +1,7 @@
 """Readers and writers for every on-disk format the package speaks.
 
-All writers are deterministic: fields are emitted in fixed order, floats
+Every output file goes through ``write_csv`` or ``write_json``, so all
+writers are deterministic: fields are emitted in fixed order, floats
 use shortest round-trip repr, CSV rows end in a bare newline, and JSON
 is sorted and indented.  Reading back what was written reproduces the
 in-memory objects except where noted (posterior draw files do not carry
@@ -11,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import typing
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .model import (
 from .synth import BenchmarkConfig, TruthRecord
 
 __all__ = [
+    "write_csv",
+    "write_json",
     "write_dataset_csv",
     "read_dataset_csv",
     "write_draws_csv",
@@ -46,18 +47,25 @@ __all__ = [
 _STATUS_BY_VALUE = {s.value: s for s in LoanStatus}
 
 
-def fmt_value(x) -> str:
-    """Shortest round-trip text for floats; str() for everything else."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` (any iterable, consumed
+    as it is written) as one CSV line ending in a bare newline.
+
+    The csv module writes a float, numpy float64 included, as
+    ``repr(float(x))``, the shortest text that reads back as the same
+    double; pass rows of scalars, not numpy arrays (``.tolist()`` first).
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
-_fmt = fmt_value
-
-
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def write_json(obj, path) -> None:
+    """``obj`` as JSON with sorted keys, two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # --- dataset ------------------------------------------------------------------
@@ -69,21 +77,15 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     Loan-level fields (status, time, maturity) repeat on every row of the
     loan; single-observation loans take one row.
     """
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["loan_id", "status", "time", "maturity", "obs_time", *dataset.schema])
-        for loan in dataset.loans:
-            for obs_time, values in zip(loan.covariates.obs_times, loan.covariates.values):
-                w.writerow(
-                    [
-                        loan.loan_id,
-                        loan.status.value,
-                        _fmt(loan.time),
-                        _fmt(loan.maturity),
-                        _fmt(obs_time),
-                        *(_fmt(v) for v in values),
-                    ]
-                )
+    header = ["loan_id", "status", "time", "maturity", "obs_time", *dataset.schema]
+    rows = (
+        [loan.loan_id, loan.status.value, loan.time, loan.maturity, obs_time, *values]
+        for loan in dataset.loans
+        for obs_time, values in zip(
+            loan.covariates.obs_times.tolist(), loan.covariates.values.tolist()
+        )
+    )
+    write_csv(path, header, rows)
 
 
 def _numbers(path, line_no: int, names: list[str], cells: list[str], parse=float) -> list:
@@ -174,18 +176,13 @@ def read_dataset_csv(path) -> Dataset:
 
 def write_draws_csv(samples: PosteriorSamples, path) -> None:
     """Kept draws, one row each: chain, iteration, then ``param_names``."""
-    mat = samples.matrix()
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["chain", "iteration", *samples.param_names()])
-        for i in range(samples.n_draws):
-            w.writerow(
-                [
-                    int(samples.chain[i]),
-                    int(samples.iteration[i]),
-                    *(_fmt(v) for v in mat[i]),
-                ]
-            )
+    rows = (
+        [c, i, *draw]
+        for c, i, draw in zip(
+            samples.chain.tolist(), samples.iteration.tolist(), samples.matrix().tolist()
+        )
+    )
+    write_csv(path, ["chain", "iteration", *samples.param_names()], rows)
 
 
 def read_draws_csv(path) -> PosteriorSamples:
@@ -224,44 +221,23 @@ def read_draws_csv(path) -> PosteriorSamples:
         i, j = np.argwhere(bad)[0]
         need = "positive and finite" if j in (1, 3) else "finite"
         raise ValueError(f"{path}:{i + 2}: {names[j]} must be {need}, got {float(mat[i, j])!r}")
-    chain = np.array([m[0] for m in meta], dtype=np.int64)
-    iteration = np.array([m[1] for m in meta], dtype=np.int64)
-    return PosteriorSamples(
-        schema=schema,
-        n_chains=int(np.unique(chain).size),
-        chain=chain,
-        iteration=iteration,
-        mu_default=mat[:, 0],
-        sigma2_default=mat[:, 1],
-        mu_prepay=mat[:, 2],
-        sigma2_prepay=mat[:, 3],
-        theta_default=mat[:, 4 : 4 + p],
-        theta_prepay=mat[:, 4 + p :],
-        acceptance={},
-        final_scales={},
-    )
+    chain, iteration = np.array(meta, dtype=np.int64).T
+    return PosteriorSamples.from_matrix(schema, chain, iteration, mat)
 
 
 def write_summary_csv(rows: list[ParamSummary], path) -> None:
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["parameter", "mean", "sd", "median", "q2.5", "q97.5", "rhat", "ess", "mcse"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.name,
-                    *(_fmt(v) for v in (r.mean, r.sd, r.median, r.q2_5, r.q97_5, r.rhat, r.ess, r.mcse)),
-                ]
-            )
+    header = ["parameter", "mean", "sd", "median", "q2.5", "q97.5", "rhat", "ess", "mcse"]
+    write_csv(
+        path,
+        header,
+        ([r.name, r.mean, r.sd, r.median, r.q2_5, r.q97_5, r.rhat, r.ess, r.mcse] for r in rows),
+    )
 
 
 def write_acceptance_csv(samples: PosteriorSamples, path) -> None:
     blocks = list(samples.acceptance)
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["chain", *blocks])
-        for c in range(samples.n_chains):
-            w.writerow([c, *(_fmt(samples.acceptance[b][c]) for b in blocks)])
+    rows = ([c, *(samples.acceptance[b][c] for b in blocks)] for c in range(samples.n_chains))
+    write_csv(path, ["chain", *blocks], rows)
 
 
 # --- truth / params -----------------------------------------------------------
@@ -302,14 +278,8 @@ def params_from_json_dict(d: dict, what: str = "model parameters") -> ModelParam
     )
 
 
-def _dump_json(obj: dict, path) -> None:
-    with _open_write(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_truth_json(truth: TruthRecord, path) -> None:
-    _dump_json(
+    write_json(
         {
             "params": params_to_json_dict(truth.params),
             "schema": list(truth.schema),

@@ -65,6 +65,7 @@ QUANT_FIELDS = (
 )
 CAT_FIELDS = ("first_time_buyer", "occupancy_status", "property_type")
 DEFAULT_ZB_CODES = ("03", "06", "09")
+DATE_FORMATS = ("yyyymm", "yyyy-mm")
 OTHER = "other"
 
 
@@ -113,24 +114,51 @@ class FileSchema:
                 raise IngestError(f"performance_columns must map {key}")
 
     def is_missing(self, fieldname: str, raw: str) -> bool:
-        return raw in self.missing_codes.get(fieldname, ("",))
+        """The empty string, or one of the field's declared missing codes."""
+        return raw == "" or raw in self.missing_codes.get(fieldname, ())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FileSchema":
+        """Build from a parsed schema JSON; a missing key or a value of the
+        wrong type or range raises IngestError naming the key."""
+        what = "input file schema"
         if not isinstance(d, dict):
-            raise IngestError("input file schema: expected a JSON object")
+            raise IngestError(f"{what}: expected a JSON object")
+
+        def bad(key: str, expected: str, value) -> IngestError:
+            return IngestError(f'{what}: "{key}" must be {expected}, got {json.dumps(value)}')
+
+        columns = {}
         for key in ("origination_columns", "performance_columns"):
             if key not in d:
-                raise IngestError(
-                    f'input file schema: missing required key "{key}" (found {sorted(d)})'
-                )
+                raise IngestError(f'{what}: missing required key "{key}" (found {sorted(d)})')
+            if not isinstance(d[key], dict):
+                raise bad(key, "an object of column indices", d[key])
+            for name, col in d[key].items():
+                if isinstance(col, bool) or not isinstance(col, int) or col < 0:
+                    raise bad(f"{key}.{name}", "a non-negative integer", col)
+            columns[key] = d[key]
+        delimiter = d.get("delimiter", "|")
+        if not isinstance(delimiter, str) or not delimiter:
+            raise bad("delimiter", "a non-empty string", delimiter)
+        has_header = d.get("has_header", False)
+        if not isinstance(has_header, bool):
+            raise bad("has_header", "true or false", has_header)
+        date_format = d.get("date_format", "yyyymm")
+        if date_format not in DATE_FORMATS:
+            raise bad("date_format", " or ".join(f'"{f}"' for f in DATE_FORMATS), date_format)
+        missing_codes = d.get("missing_codes", {})
+        if not isinstance(missing_codes, dict):
+            raise bad("missing_codes", "an object of string lists", missing_codes)
+        for name, codes in missing_codes.items():
+            if not (isinstance(codes, list) and all(isinstance(c, str) for c in codes)):
+                raise bad(f"missing_codes.{name}", "a list of strings", codes)
         return cls(
-            origination_columns={k: int(v) for k, v in d["origination_columns"].items()},
-            performance_columns={k: int(v) for k, v in d["performance_columns"].items()},
-            delimiter=d.get("delimiter", "|"),
-            has_header=bool(d.get("has_header", False)),
-            date_format=d.get("date_format", "yyyymm"),
-            missing_codes={k: tuple(v) for k, v in d.get("missing_codes", {}).items()},
+            **columns,
+            delimiter=delimiter,
+            has_header=has_header,
+            date_format=date_format,
+            missing_codes={k: tuple(v) for k, v in missing_codes.items()},
         )
 
 

@@ -306,12 +306,7 @@ class ChainResult:
 
     chain_id: int
     iterations: np.ndarray  # (n_kept,) 1-based sweep indices
-    mu_default: np.ndarray
-    sigma2_default: np.ndarray
-    mu_prepay: np.ndarray
-    sigma2_prepay: np.ndarray
-    theta_default: np.ndarray  # (n_kept, p)
-    theta_prepay: np.ndarray
+    draws: np.ndarray  # (n_kept, 4 + 2p), columns in ``param_names`` order
     acceptance: dict[str, float]  # post-burn-in rate per block
     final_scales: dict[str, float]
 
@@ -356,17 +351,9 @@ def run_chain(
     state = _initial_state(like, prior)
     tune = {block: TUNING[kind][0] for block, kind, _ in BLOCKS}
 
-    n_kept = config.n_kept
     p = like.dataset.p
-    out = {
-        "iterations": np.empty(n_kept, dtype=np.int64),
-        "mu_default": np.empty(n_kept),
-        "sigma2_default": np.empty(n_kept),
-        "mu_prepay": np.empty(n_kept),
-        "sigma2_prepay": np.empty(n_kept),
-        "theta_default": np.empty((n_kept, p)),
-        "theta_prepay": np.empty((n_kept, p)),
-    }
+    iterations = np.empty(config.n_kept, dtype=np.int64)
+    draws = np.empty((config.n_kept, 4 + 2 * p))
     accept_counts = dict.fromkeys(tune, 0)
     kept = 0
 
@@ -394,13 +381,11 @@ def run_chain(
             for block in accept_counts:
                 accept_counts[block] += accepted[block]
             if (sweep - config.burn_in) % config.thin == 0:
-                out["iterations"][kept] = sweep
-                out["mu_default"][kept] = state.default.mu
-                out["sigma2_default"][kept] = state.default.sigma2
-                out["mu_prepay"][kept] = state.prepay.mu
-                out["sigma2_prepay"][kept] = state.prepay.sigma2
-                out["theta_default"][kept] = state.default.theta
-                out["theta_prepay"][kept] = state.prepay.theta
+                iterations[kept] = sweep
+                d, r = state.default, state.prepay
+                draws[kept, :4] = (d.mu, d.sigma2, r.mu, r.sigma2)
+                draws[kept, 4 : 4 + p] = d.theta
+                draws[kept, 4 + p :] = r.theta
                 kept += 1
 
     n_post = config.n_iters - config.burn_in
@@ -408,7 +393,7 @@ def run_chain(
     final_scales = {
         b: math.exp(-tune[b]) if kind == "sigma2" else tune[b] for b, kind, _ in BLOCKS
     }
-    return ChainResult(chain_id=chain_id, acceptance=acceptance, final_scales=final_scales, **out)
+    return ChainResult(chain_id, iterations, draws, acceptance, final_scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,6 +417,34 @@ class PosteriorSamples:
     theta_prepay: np.ndarray
     acceptance: dict[str, np.ndarray]
     final_scales: dict[str, np.ndarray]
+
+    @classmethod
+    def from_matrix(
+        cls,
+        schema: tuple[str, ...],
+        chain: np.ndarray,
+        iteration: np.ndarray,
+        draws: np.ndarray,
+        acceptance: dict[str, np.ndarray] | None = None,
+        final_scales: dict[str, np.ndarray] | None = None,
+    ) -> "PosteriorSamples":
+        """Split a (G, 4 + 2p) draw matrix in ``param_names`` order into
+        fields; the fields are views of ``draws``."""
+        p = len(schema)
+        return cls(
+            schema=tuple(schema),
+            n_chains=int(np.unique(chain).size),
+            chain=chain,
+            iteration=iteration,
+            mu_default=draws[:, 0],
+            sigma2_default=draws[:, 1],
+            mu_prepay=draws[:, 2],
+            sigma2_prepay=draws[:, 3],
+            theta_default=draws[:, 4 : 4 + p],
+            theta_prepay=draws[:, 4 + p :],
+            acceptance=acceptance if acceptance is not None else {},
+            final_scales=final_scales if final_scales is not None else {},
+        )
 
     @property
     def n_draws(self) -> int:
@@ -488,19 +501,11 @@ def run_sampler(
     ids = list(range(config.n_chains))
     results = [run_chain(like, prior, config, cid) for cid in ids]
 
-    n_kept = config.n_kept
-    chain_col = np.repeat(np.array(ids, dtype=np.int64), n_kept)
-    return PosteriorSamples(
-        schema=data.schema,
-        n_chains=config.n_chains,
-        chain=chain_col,
-        iteration=np.concatenate([r.iterations for r in results]),
-        mu_default=np.concatenate([r.mu_default for r in results]),
-        sigma2_default=np.concatenate([r.sigma2_default for r in results]),
-        mu_prepay=np.concatenate([r.mu_prepay for r in results]),
-        sigma2_prepay=np.concatenate([r.sigma2_prepay for r in results]),
-        theta_default=np.vstack([r.theta_default for r in results]),
-        theta_prepay=np.vstack([r.theta_prepay for r in results]),
+    return PosteriorSamples.from_matrix(
+        data.schema,
+        np.repeat(np.array(ids, dtype=np.int64), config.n_kept),
+        np.concatenate([r.iterations for r in results]),
+        np.vstack([r.draws for r in results]),
         acceptance={b: np.array([r.acceptance[b] for r in results]) for b, _, _ in BLOCKS},
         final_scales={b: np.array([r.final_scales[b] for r in results]) for b, _, _ in BLOCKS},
     )

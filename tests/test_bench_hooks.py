@@ -57,7 +57,9 @@ def test_traced_fit_records_every_sampler_and_likelihood_hook(tmp_path, monkeypa
     for span in tracer.spans():
         counts[span.name] = counts.get(span.name, 0) + 1
     for name in ("mcmc.update_theta", "mcmc.update_mu", "mcmc.update_sigma2",
-                 "mcmc.run_chain", "likelihood.coef_parts", "likelihood.baseline_parts"):
+                 "mcmc.run_chain", "likelihood.coef_parts", "likelihood.baseline_parts",
+                 "fileio.read_dataset_csv", "fileio.write_draws_csv",
+                 "fileio.write_summary_csv", "fileio.write_acceptance_csv"):
         assert counts.get(name, 0) > 0, name
 
 
@@ -85,4 +87,6 @@ def test_traced_predict_records_classify(tmp_path, monkeypatch, capsys):
 
     assert rc == 0
     assert tracer.missing == []
-    assert sum(span.name == "predict.classify" for span in tracer.spans()) == SIM["n_loans"]
+    names = [span.name for span in tracer.spans()]
+    assert names.count("predict.classify") == SIM["n_loans"]
+    assert names.count("fileio.read_draws_csv") == 1

@@ -7,6 +7,7 @@ stay simple; the console entry point is the same function.
 from __future__ import annotations
 
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from mortsurv import CovariatePath, Dataset, LoanObservation, LoanStatus, RiskKind
 from mortsurv.cli import main
 from mortsurv.fileio import (
-    fmt_value,
     read_dataset_csv,
     read_draws_csv,
     write_dataset_csv,
@@ -154,7 +154,7 @@ def test_predict_curves_equal_per_loan_reference_across_maturities(tmp_path, cap
             cols.append(predictive_reliability(loan.covariates, samples, risk, grid))
             cols.append(predictive_density(loan.covariates, samples, risk, grid))
         rows = ["time,reliability_default,density_default,reliability_prepay,density_prepay"]
-        rows += [",".join(fmt_value(v) for v in (t, *(c[k] for c in cols)))
+        rows += [",".join(repr(float(v)) for v in (t, *(c[k] for c in cols)))
                  for k, t in enumerate(grid)]
         text = (tmp_path / "out" / "curves" / f"{loan.loan_id}.csv").read_text()
         assert text == "\n".join(rows) + "\n", loan.loan_id
@@ -243,6 +243,49 @@ def test_ingest_pipeline(tmp_path, capsys):
     rejects = (out / "rejects.csv").read_text().strip().split("\n")
     assert rejects[0] == "file,line,reason"
     assert len(rejects) == 1
+
+
+def test_ingest_yyyy_mm_dates_match_their_yyyymm_twin(tmp_path, capsys):
+    loans = [dict(lid="L001", cs="720", fpd="200501", state="FL"),
+             dict(lid="L002", cs="680", fpd="200503", dti="38", units="2"),
+             dict(lid="L003", cs="750", fpd="200506", rate="6.2", mi="25"),
+             dict(lid="L004", cs="640", fpd="200502", upb="90000", nb="1")]
+    perf_rows = [dict(lid="L001", ym="200501"), dict(lid="L001", ym="200606", rep="N", zb="01"),
+                 dict(lid="L002", ym="200503"), dict(lid="L002", ym="200703", zb="03"),
+                 dict(lid="L003", ym="200506"), dict(lid="L003", ym="201402"),
+                 dict(lid="L004", ym="200502"), dict(lid="L004", ym="200801", dlq="R")]
+    schema = json.loads((files("mortsurv.data") / "freddie_sample_schema.json").read_text())
+    schema["date_format"] = "yyyy-mm"
+    (tmp_path / "dashed.json").write_text(json.dumps(schema))
+
+    def dashed(ym):
+        return f"{ym[:4]}-{ym[4:]}"
+
+    def ingest(name, date, extra=()):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "orig.txt").write_text(
+            "".join(orow(**{**kw, "fpd": date(kw["fpd"])}) + "\n" for kw in loans))
+        (d / "perf.txt").write_text(
+            "".join(prow(**{**kw, "ym": date(kw["ym"])}) + "\n" for kw in [*perf_rows, *extra]))
+        argv = ["ingest", "--origination", str(d / "orig.txt"),
+                "--performance", str(d / "perf.txt"), "--max-reject-fraction", "0.2",
+                "--out-dir", str(d / "out")]
+        if date is dashed:
+            argv += ["--schema", str(tmp_path / "dashed.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        return d / "out"
+
+    plain = ingest("plain", lambda ym: ym)
+    twin = ingest("twin", dashed)
+    for name in ("dataset.csv", "classified.csv", "rejects.csv"):
+        assert (twin / name).read_bytes() == (plain / name).read_bytes(), name
+    assert len((plain / "dataset.csv").read_text().splitlines()) == 5
+
+    bad = ingest("bad", dashed, extra=[dict(lid="L003", ym="200513")])
+    assert (bad / "rejects.csv").read_text().splitlines()[1:] == [
+        "performance,9,bad reporting_date: '2005-13'"]
 
 
 def test_missing_input_file_exits_3(tmp_path, capsys):
@@ -364,15 +407,34 @@ def test_ingest_schema_missing_columns_key_exits_4(tmp_path, capsys):
     perf = tmp_path / "perf.txt"
     orig.write_text(orow(lid="L001") + "\n")
     perf.write_text(prow(lid="L001", ym="200502", zb="01", rep="N") + "\n")
+    good = json.loads((files("mortsurv.data") / "freddie_sample_schema.json").read_text())
+    cases = [  # (schema JSON, the key the error must name)
+        ({"origination": {"loan_id": 19},
+          "performance": {"loan_id": 0, "reporting_date": 1}}, "origination_columns"),
+        ({**good, "origination_columns": [19]}, "origination_columns"),
+        ({**good, "delimiter": 5}, "delimiter"),
+        ({**good, "delimiter": ""}, "delimiter"),
+        ({**good, "origination_columns": {**good["origination_columns"], "dti": -1}},
+         "origination_columns.dti"),
+        ({**good, "performance_columns": {**good["performance_columns"], "zero_balance": "x"}},
+         "performance_columns.zero_balance"),
+        ({**good, "origination_columns": {**good["origination_columns"], "upb": True}},
+         "origination_columns.upb"),
+        ({**good, "has_header": "false"}, "has_header"),
+        ({**good, "missing_codes": {"dti": "999"}}, "missing_codes.dti"),
+        ({**good, "missing_codes": ["dti"]}, "missing_codes"),
+        ({**good, "date_format": "mm/yyyy"}, "date_format"),
+    ]
     schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps({"origination": {"loan_id": 19},
-                                  "performance": {"loan_id": 0, "reporting_date": 1}}))
-    rc = main(["ingest", "--origination", str(orig), "--performance", str(perf),
-               "--schema", str(schema), "--out-dir", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 4
-    assert "origination_columns" in err
-    assert "Traceback" not in err
+    for case, key in cases:
+        schema.write_text(json.dumps(case))
+        rc = main(["ingest", "--origination", str(orig), "--performance", str(perf),
+                   "--schema", str(schema), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4, key
+        assert f'"{key}"' in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
 
 def test_simulate_config_missing_parameter_exits_4(tmp_path, sim_config, capsys):

@@ -25,7 +25,6 @@ from mortsurv import (
     summarize,
 )
 from mortsurv.fileio import (
-    fmt_value,
     params_from_json_dict,
     params_to_json_dict,
     read_dataset_csv,
@@ -34,6 +33,7 @@ from mortsurv.fileio import (
     read_simulate_config,
     read_truth_json,
     write_acceptance_csv,
+    write_csv,
     write_dataset_csv,
     write_draws_csv,
     write_summary_csv,
@@ -43,12 +43,21 @@ from mortsurv.fileio import (
 from conftest import params_small
 
 
-def test_float_formatting_roundtrips_exactly():
-    for x in [1 / 3, 0.1, 1e-300, 17.0, 2.225e-308, math.pi]:
-        assert float(fmt_value(x)) == x
-    assert fmt_value(17.0) == "17.0"
-    assert fmt_value("abc") == "abc"
-    assert fmt_value(3) == "3"
+def test_float_formatting_roundtrips_exactly(tmp_path):
+    floats = [1 / 3, 0.1, 1e-300, 17.0, 2.225e-308, math.pi, 5e-324, -0.0,
+              math.inf, -math.inf, math.nan]
+    cells = floats + [np.float64(x) for x in floats] + ["abc", 3]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["cell"], ([x] for x in cells))
+    lines = path.read_text().split("\n")
+    assert lines[0] == "cell" and lines[-1] == ""
+    texts = lines[1:-1]
+    assert texts == [repr(float(x)) for x in cells[:-2]] + ["abc", "3"]
+    for x, text in zip(cells[:-2], texts):
+        assert float(text) == x or (math.isnan(x) and math.isnan(float(text)))
+        assert math.copysign(1.0, float(text)) == math.copysign(1.0, x)
+    assert texts[:3] == ["0.3333333333333333", "0.1", "1e-300"]
+    assert texts[3] == "17.0" and texts[11 + 3] == "17.0"
 
 
 def test_dataset_roundtrip_bitwise(tmp_path, bench_small):

@@ -4,6 +4,7 @@ and the end-to-end portfolio build."""
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,16 @@ def test_origination_parsing_and_missing_codes(tmp_path):
     assert len(rejects) == 1
     assert rejects[0].line_no == 3
     assert "credit_score" in rejects[0].reason
+
+
+def test_blank_cell_is_missing_even_when_codes_omit_it(tmp_path):
+    f = tmp_path / "orig.txt"
+    f.write_text(orow(lid="A1", dti="") + "\n" + orow(lid="A2", dti="999") + "\n")
+    schema = replace(load_default_schema(), missing_codes={"dti": ("999",)})
+    records, rejects = read_origination_file(f, schema)
+    assert rejects == []
+    assert [(r.loan_id, r.dti, r.credit_score) for r in records] == [
+        ("A1", None, 720.0), ("A2", None, 720.0)]
 
 
 def test_origination_duplicate_and_blank_id_rejected(tmp_path):

@@ -127,9 +127,10 @@ def test_run_chain_reproducible_and_chain_id_distinct(bench_small):
     a = run_chain(like, prior, config, chain_id=0)
     b = run_chain(like, prior, config, chain_id=0)
     c = run_chain(like, prior, config, chain_id=1)
-    np.testing.assert_array_equal(a.mu_default, b.mu_default)
-    np.testing.assert_array_equal(a.theta_prepay, b.theta_prepay)
-    assert not np.array_equal(a.mu_default, c.mu_default)
+    assert a.draws.shape == (config.n_kept, 4 + 2 * dataset.p)
+    np.testing.assert_array_equal(a.draws, b.draws)
+    np.testing.assert_array_equal(a.iterations, b.iterations)
+    assert not np.array_equal(a.draws[:, 0], c.draws[:, 0])
 
 
 def test_run_sampler_stacks_chains_in_order(bench_small):
@@ -138,12 +139,13 @@ def test_run_sampler_stacks_chains_in_order(bench_small):
     config = SamplerConfig(n_chains=3, n_iters=120, burn_in=60, thin=2, seed=5)
     s = run_sampler(dataset, prior, config)
     chains = [run_chain(PortfolioLikelihood(dataset), prior, config, c) for c in range(3)]
-    expected = np.vstack([
-        np.column_stack([r.mu_default, r.sigma2_default, r.mu_prepay, r.sigma2_prepay,
-                         r.theta_default, r.theta_prepay])
-        for r in chains
-    ])
+    expected = np.vstack([r.draws for r in chains])
     assert s.matrix().tobytes() == expected.tobytes()
+    p = dataset.p
+    for j, name in enumerate(("mu_default", "sigma2_default", "mu_prepay", "sigma2_prepay")):
+        assert getattr(s, name).tobytes() == expected[:, j].tobytes()
+    assert s.theta_default.tobytes() == expected[:, 4 : 4 + p].tobytes()
+    assert s.theta_prepay.tobytes() == expected[:, 4 + p :].tobytes()
     np.testing.assert_array_equal(s.chain, np.repeat([0, 1, 2], config.n_kept))
     np.testing.assert_array_equal(s.iteration, np.concatenate([r.iterations for r in chains]))
     for block, rates in s.acceptance.items():
