@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -44,15 +45,31 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _checked(parse, ok, what: str):
+    """argparse type: ``parse`` the text, then require ``ok`` of the value."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return check
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def _month(text: str) -> int:
+    """argparse type for a YYYYMM month, as a month index."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+        return month_index(text, "yyyymm")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_simulate(args) -> None:
@@ -229,7 +246,7 @@ def cmd_ingest(args) -> int:
         schema = None
     repurchase = ("N", "") if args.accept_blank_repurchase else ("N",)
     config = IngestConfig(
-        data_end=month_index(args.data_end, "yyyymm"),
+        data_end=args.data_end,
         maturity_years=args.maturity,
         min_category_freq=args.min_category_freq,
         max_reject_fraction=args.max_reject_fraction,
@@ -323,10 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origination", required=True)
     p.add_argument("--performance", required=True)
     p.add_argument("--schema", default=None, help="file layout JSON (default: packaged sample layout)")
-    p.add_argument("--data-end", default="201401", help="observation cutoff month, YYYYMM")
-    p.add_argument("--maturity", type=float, default=30.0, help="contract maturity in years")
-    p.add_argument("--min-category-freq", type=float, default=0.01)
-    p.add_argument("--max-reject-fraction", type=float, default=0.10)
+    p.add_argument("--data-end", type=_month, default="201401",
+                   help="observation cutoff month, YYYYMM")
+    p.add_argument("--maturity", type=_positive_float, default=30.0,
+                   help="contract maturity in years")
+    p.add_argument("--min-category-freq", default=0.01,
+                   type=_checked(float, lambda v: 0 <= v < 1, "in [0, 1)"))
+    p.add_argument("--max-reject-fraction", default=0.10,
+                   type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"))
     p.add_argument(
         "--accept-blank-repurchase",
         action="store_true",

@@ -16,7 +16,7 @@ import typing
 
 import numpy as np
 
-from .mcmc import ParamSummary, PosteriorSamples, PriorSpec, SamplerConfig
+from .mcmc import ParamSummary, PosteriorSamples, PriorSpec, SamplerConfig, param_names
 from .model import (
     CovariatePath,
     Dataset,
@@ -193,33 +193,26 @@ def read_draws_csv(path) -> PosteriorSamples:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty draws file") from None
-        if header[:2] != ["chain", "iteration"]:
-            raise ValueError(f"{path}: expected chain,iteration leading columns")
-        names = header[2:]
-        prefix = ["mu_default", "sigma2_default", "mu_prepay", "sigma2_prepay"]
-        if names[:4] != prefix:
-            raise ValueError(f"{path}: expected parameter columns to start with {prefix}")
-        rest = names[4:]
-        schema = tuple(n.split(":", 1)[1] for n in rest if n.startswith("theta_default:"))
-        p = len(schema)
-        expected = [f"theta_default:{s}" for s in schema] + [f"theta_prepay:{s}" for s in schema]
-        if rest != expected:
-            raise ValueError(f"{path}: malformed theta columns")
+        schema = tuple(n.split(":", 1)[1] for n in header if n.startswith("theta_default:"))
+        names = param_names(schema)
+        if header != ["chain", "iteration", *names]:
+            raise ValueError(f"{path}: expected header chain,iteration,{','.join(names)}")
         rows = []
         meta = []
         for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2 + 4 + 2 * p:
+            if len(row) != len(header):
                 raise ValueError(f"{path}:{line_no}: wrong field count")
             meta.append(_numbers(path, line_no, header[:2], row[:2], int))
             rows.append(_numbers(path, line_no, names, row[2:]))
     if not rows:
         raise ValueError(f"{path}: no draws")
     mat = np.array(rows)
+    variances = [j for j, name in enumerate(names) if name.startswith("sigma2_")]
     bad = ~np.isfinite(mat)
-    bad[:, [1, 3]] |= mat[:, [1, 3]] <= 0.0  # the two variances
+    bad[:, variances] |= mat[:, variances] <= 0.0
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        need = "positive and finite" if j in (1, 3) else "finite"
+        need = "positive and finite" if j in variances else "finite"
         raise ValueError(f"{path}:{i + 2}: {names[j]} must be {need}, got {float(mat[i, j])!r}")
     chain, iteration = np.array(meta, dtype=np.int64).T
     return PosteriorSamples.from_matrix(schema, chain, iteration, mat)

@@ -11,7 +11,8 @@ loan, many monthly performance rows per loan) into a modeling dataset:
    history, measuring event times in years with a one-month floor;
 3. fit preprocessing statistics on the labeled loans (standardization
    for quantitative fields, low-frequency merging for categorical ones)
-   and build one covariate vector per loan.
+   and build the design matrix by walking ``PreprocessSpec.schema``,
+   each column built as its name says.
 
 Column positions, date format, and per-field missing-value codes live in
 a FileSchema, so differently laid-out files only need a different JSON
@@ -64,6 +65,8 @@ QUANT_FIELDS = (
     "num_borrowers",
 )
 CAT_FIELDS = ("first_time_buyer", "occupancy_status", "property_type")
+NUMBER_FIELDS = (*QUANT_FIELDS, "cltv")
+TEXT_FIELDS = (*CAT_FIELDS, "property_state")
 DEFAULT_ZB_CODES = ("03", "06", "09")
 DATE_FORMATS = ("yyyymm", "yyyy-mm")
 OTHER = "other"
@@ -254,49 +257,23 @@ def read_origination_file(path, schema: FileSchema):
 
 
 def _parse_origination(loan_id: str, fields: list[str], schema: FileSchema) -> OriginationRecord:
-    cols = schema.origination_columns
-
-    def number(name: str) -> float | None:
-        raw = _cell(fields, cols.get(name))
-        if cols.get(name) is None or schema.is_missing(name, raw):
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"bad {name}: {raw!r}") from None
-
-    def category(name: str) -> str | None:
-        raw = _cell(fields, cols.get(name))
-        if cols.get(name) is None or schema.is_missing(name, raw):
-            return None
-        return raw
-
-    first_payment = None
-    raw_date = _cell(fields, cols.get("first_payment_date"))
-    if cols.get("first_payment_date") is not None and not schema.is_missing(
-        "first_payment_date", raw_date
-    ):
-        try:
-            first_payment = month_index(raw_date, schema.date_format)
-        except ValueError as exc:
-            raise ValueError(f"bad first_payment_date: {exc}") from None
-
-    return OriginationRecord(
-        loan_id=loan_id,
-        first_payment=first_payment,
-        credit_score=number("credit_score"),
-        mi_percent=number("mi_percent"),
-        num_units=number("num_units"),
-        dti=number("dti"),
-        upb=number("upb"),
-        interest_rate=number("interest_rate"),
-        num_borrowers=number("num_borrowers"),
-        first_time_buyer=category("first_time_buyer"),
-        occupancy_status=category("occupancy_status"),
-        property_type=category("property_type"),
-        property_state=category("property_state"),
-        cltv=number("cltv"),
-    )
+    """A blank cell, a declared missing code or an unmapped column gives
+    None; the first unparseable field, in this loop's order, raises."""
+    values: dict[str, int | float | str | None] = {}
+    for name in ("first_payment_date", *NUMBER_FIELDS, *TEXT_FIELDS):
+        raw = _cell(fields, schema.origination_columns.get(name))
+        value = None
+        if not schema.is_missing(name, raw):
+            try:
+                if name == "first_payment_date":
+                    value = month_index(raw, schema.date_format)
+                else:
+                    value = float(raw) if name in NUMBER_FIELDS else raw
+            except ValueError as exc:
+                detail = exc if name == "first_payment_date" else repr(raw)
+                raise ValueError(f"bad {name}: {detail}") from None
+        values[name] = value
+    return OriginationRecord(loan_id, values.pop("first_payment_date"), **values)
 
 
 @dataclass(frozen=True)
@@ -319,8 +296,8 @@ class IngestConfig:
             raise ValueError("min_category_freq must be in [0, 1)")
         if not (0.0 <= self.max_reject_fraction <= 1.0):
             raise ValueError("max_reject_fraction must be in [0, 1]")
-        if not (self.maturity_years > 0.0):
-            raise ValueError("maturity_years must be positive")
+        if not (0.0 < self.maturity_years < math.inf):
+            raise ValueError("maturity_years must be positive and finite")
 
 
 @dataclass(slots=True)
@@ -408,10 +385,6 @@ class ClassifiedLoan:
     reason: str
 
 
-def _months_to_years(months: int) -> float:
-    return max(1, months) / 12.0
-
-
 def categorize(
     origination_month: int | None,
     history: LoanHistory | None,
@@ -432,32 +405,23 @@ def categorize(
     if history is None:
         return None, None, "no performance history"
 
-    prepaid_month = history.prepaid_month
-    default_month = history.default_month
-    if default_month is not None and (
-        prepaid_month is None or default_month <= prepaid_month
-    ):
-        months = default_month - origination_month
-        if months < 0:
-            return None, None, "event precedes origination"
-        return LoanStatus.DEFAULTED, _months_to_years(months), ""
-    if prepaid_month is not None:
-        months = prepaid_month - origination_month
-        if months < 0:
-            return None, None, "event precedes origination"
-        return LoanStatus.PREPAID, _months_to_years(months), ""
-
+    prepaid, default = history.prepaid_month, history.default_month
     last_zb = history.last_zero_balance
-    if history.last_month >= config.data_end and last_zb == "":
-        months = history.last_month - origination_month
-        if months < 0:
-            return None, None, "event precedes origination"
-        return LoanStatus.ACTIVE, _months_to_years(months), ""
-    if last_zb not in ("", "01"):
-        return None, None, f"terminal zero-balance code {last_zb}"
-    if last_zb == "01":
+    if default is not None and (prepaid is None or default <= prepaid):
+        status, month = LoanStatus.DEFAULTED, default
+    elif prepaid is not None:
+        status, month = LoanStatus.PREPAID, prepaid
+    elif history.last_month >= config.data_end and last_zb == "":
+        status, month = LoanStatus.ACTIVE, history.last_month
+    elif last_zb == "01":
         return None, None, "payoff with unaccepted repurchase flag"
-    return None, None, "history ends before observation cutoff"
+    elif last_zb:
+        return None, None, f"terminal zero-balance code {last_zb}"
+    else:
+        return None, None, "history ends before observation cutoff"
+    if month < origination_month:
+        return None, None, "event precedes origination"
+    return status, max(1, month - origination_month) / 12.0, ""
 
 
 @dataclass(frozen=True)
@@ -575,47 +539,31 @@ def fit_preprocess(
     )
 
 
-def build_design(
-    records: list[OriginationRecord], spec: PreprocessSpec
-) -> list[tuple[str, np.ndarray]]:
-    """(loan id, covariate vector in ``spec.schema`` order), one per loan.
+def build_design(records: list[OriginationRecord], spec: PreprocessSpec) -> np.ndarray:
+    """(n, p) covariate matrix: one row per record, columns in ``spec.schema`` order.
 
-    Every record must have its quantitative fields and state (see
-    ``_missing_required``); missing categorical values fall to the
-    "other" group like unseen levels.
+    Each column is built as its name says: a quantitative field is
+    standardized, ``intercept`` is 1, ``judicial_state`` is membership of
+    the property state, and ``<field>:<level>`` is 1 where the field's
+    grouped value is that level (a missing or unseen value is grouped as
+    "other").  Every record must have its quantitative fields and state
+    (see ``_missing_required``).
     """
-    state_set = frozenset(spec.judicial_states)
-    rows: list[tuple[str, np.ndarray]] = []
-    p = len(spec.schema)
-    for rec in records:
-        vec = np.zeros(p)
-        pos = 0
-        for name in QUANT_FIELDS:
+    states = frozenset(spec.judicial_states)
+    x = np.empty((len(records), len(spec.schema)))
+    for j, name in enumerate(spec.schema):
+        if name in spec.quantitative:
             mean, sd = spec.quantitative[name]
-            vec[pos] = (getattr(rec, name) - mean) / sd
-            pos += 1
-        vec[pos] = 1.0  # intercept
-        pos += 1
-        for name in CAT_FIELDS[:2]:
-            pos = _fill_indicators(vec, pos, rec, name, spec)
-        vec[pos] = 1.0 if rec.property_state in state_set else 0.0
-        pos += 1
-        pos = _fill_indicators(vec, pos, rec, CAT_FIELDS[2], spec)
-        rows.append((rec.loan_id, vec))
-    return rows
-
-
-def _fill_indicators(
-    vec: np.ndarray, pos: int, rec: OriginationRecord, name: str, spec: PreprocessSpec
-) -> int:
-    info = spec.categorical[name]
-    raw = getattr(rec, name)
-    level = info["map"].get(raw, OTHER) if raw is not None else OTHER
-    for col_level in info["columns"]:
-        if level == col_level:
-            vec[pos] = 1.0
-        pos += 1
-    return pos
+            x[:, j] = [(getattr(r, name) - mean) / sd for r in records]
+        elif name == "intercept":
+            x[:, j] = 1.0
+        elif name == "judicial_state":
+            x[:, j] = [r.property_state in states for r in records]
+        else:
+            fieldname, _, level = name.partition(":")
+            grouping = spec.categorical[fieldname]["map"]
+            x[:, j] = [grouping.get(getattr(r, fieldname), OTHER) == level for r in records]
+    return x
 
 
 @dataclass(frozen=True)
@@ -674,8 +622,7 @@ def ingest_portfolio(
     )
 
     classified: list[ClassifiedLoan] = []
-    labeled: dict[str, tuple[LoanStatus, float]] = {}
-    modeling: list[OriginationRecord] = []
+    kept: list[tuple[OriginationRecord, ClassifiedLoan]] = []
     for rec in orig_records:
         status, time, reason = categorize(rec.first_payment, histories.get(rec.loan_id), config)
         if status is not None:
@@ -684,28 +631,26 @@ def ingest_portfolio(
             missing = _missing_required(rec)
             if missing is not None:
                 status, time, reason = None, None, f"missing {missing}"
-        classified.append(ClassifiedLoan(rec.loan_id, status, time, reason))
+        label = ClassifiedLoan(rec.loan_id, status, time, reason)
+        classified.append(label)
         if status is not None:
-            labeled[rec.loan_id] = (status, time)
-            modeling.append(rec)
+            kept.append((rec, label))
 
-    if not modeling:
+    if not kept:
         raise IngestError("no loan survived categorization")
+    modeling = [rec for rec, _ in kept]
     spec = fit_preprocess(modeling, min_category_freq=config.min_category_freq)
-    loans = []
-    for loan_id, vec in build_design(modeling, spec):
-        status, time = labeled[loan_id]
-        loans.append(
-            LoanObservation(
-                loan_id=loan_id,
-                status=status,
-                time=time,
-                covariates=CovariatePath.constant(vec),
-                maturity=config.maturity_years,
-            )
+    loans = tuple(
+        LoanObservation(
+            loan_id=label.loan_id,
+            status=label.status,
+            time=label.time,
+            covariates=CovariatePath.constant(x),
+            maturity=config.maturity_years,
         )
-
-    dataset = Dataset(loans=tuple(loans), schema=spec.schema)
+        for (_, label), x in zip(kept, build_design(modeling, spec))
+    )
+    dataset = Dataset(loans=loans, schema=spec.schema)
     counts = Counter(
         c.status.value if c.status is not None else "excluded" for c in classified
     )

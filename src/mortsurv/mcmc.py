@@ -39,6 +39,7 @@ __all__ = [
     "ParamSummary",
     "InitializationError",
     "log_posterior",
+    "param_names",
     "update_theta",
     "update_mu",
     "update_sigma2",
@@ -396,6 +397,19 @@ def run_chain(
     return ChainResult(chain_id, iterations, draws, acceptance, final_scales)
 
 
+def param_names(schema) -> list[str]:
+    """Canonical scalar parameter order of draw matrices and files: the
+    four baseline parameters, then one theta per covariate for each risk."""
+    return [
+        "mu_default",
+        "sigma2_default",
+        "mu_prepay",
+        "sigma2_prepay",
+        *(f"theta_default:{s}" for s in schema),
+        *(f"theta_prepay:{s}" for s in schema),
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
     """Pooled kept draws from all chains, in chain-major order.
@@ -468,11 +482,8 @@ class PosteriorSamples:
         )
 
     def param_names(self) -> list[str]:
-        """Canonical scalar parameter order used by ``matrix`` and files."""
-        names = ["mu_default", "sigma2_default", "mu_prepay", "sigma2_prepay"]
-        names += [f"theta_default:{s}" for s in self.schema]
-        names += [f"theta_prepay:{s}" for s in self.schema]
-        return names
+        """``param_names(schema)``: the column order of ``matrix`` and files."""
+        return param_names(self.schema)
 
     def matrix(self) -> np.ndarray:
         """All draws as a (G, 4 + 2p) array in ``param_names`` order."""

@@ -3,19 +3,21 @@
 ``bench/spans.py`` times the package by patching module attributes.  A
 hooked function that is renamed, or that the program calls through a
 reference captured at import time, leaves its per-layer metric with no
-samples and no error.  A tiny traced ``fit`` and ``predict --curves``
-catch both.
+samples and no error.  A tiny traced run of ``fit``, ``predict --curves``,
+``ingest`` and ``diagnose`` catches both.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from mortsurv import cli, fileio, mcmc
+from mortsurv import LoanStatus, cli, fileio, mcmc
 
 from conftest import params_small, samples_at
+from test_ingest import orow, prow
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,45 +31,49 @@ SIM = {
 FIT = {"sampler": {"n_chains": 2, "n_iters": 6, "burn_in": 3, "thin": 1, "seed": 1}}
 
 
-def test_traced_fit_records_every_sampler_and_likelihood_hook(tmp_path, monkeypatch, capsys):
+def _traced(monkeypatch, argv):
+    """Run one CLI command under the benchmark tracer: (exit code, tracer)."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is read only
     import spans
 
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    return rc, tracer
+
+
+def _span_counts(tracer) -> Counter:
+    return Counter(span.name for span in tracer.spans())
+
+
+def test_traced_fit_records_every_sampler_and_likelihood_hook(tmp_path, monkeypatch, capsys):
     (tmp_path / "sim.json").write_text(json.dumps(SIM))
     (tmp_path / "fit.json").write_text(json.dumps(FIT))
     assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
                      "--out-dir", str(tmp_path)]) == 0
     originals = (mcmc.run_chain, mcmc.update_theta, mcmc.update_mu, mcmc.update_sigma2)
 
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        rc = cli.main(["fit", "--dataset", str(tmp_path / "dataset.csv"),
-                       "--config", str(tmp_path / "fit.json"), "--allow-nonconverged",
-                       "--threads", "2", "--out-dir", str(tmp_path / "fit")])
-    finally:
-        tracer.uninstall()
+    rc, tracer = _traced(monkeypatch, [
+        "fit", "--dataset", str(tmp_path / "dataset.csv"), "--config", str(tmp_path / "fit.json"),
+        "--allow-nonconverged", "--threads", "2", "--out-dir", str(tmp_path / "fit")])
     capsys.readouterr()
 
     assert rc == 0
     assert tracer.missing == []
     assert (mcmc.run_chain, mcmc.update_theta, mcmc.update_mu, mcmc.update_sigma2) == originals
-    counts: dict[str, int] = {}
-    for span in tracer.spans():
-        counts[span.name] = counts.get(span.name, 0) + 1
+    counts = _span_counts(tracer)
     for name in ("mcmc.update_theta", "mcmc.update_mu", "mcmc.update_sigma2",
                  "mcmc.run_chain", "likelihood.coef_parts", "likelihood.baseline_parts",
                  "fileio.read_dataset_csv", "fileio.write_draws_csv",
                  "fileio.write_summary_csv", "fileio.write_acceptance_csv"):
-        assert counts.get(name, 0) > 0, name
+        assert counts[name] > 0, name
 
 
 def test_traced_predict_records_classify(tmp_path, monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is read only
-    import spans
-
     (tmp_path / "sim.json").write_text(json.dumps(SIM))
     assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
                      "--out-dir", str(tmp_path)]) == 0
@@ -75,14 +81,10 @@ def test_traced_predict_records_classify(tmp_path, monkeypatch, capsys):
     fileio.write_draws_csv(samples_at(params_small(3), n_draws=8, jitter=0.1, schema=schema),
                            tmp_path / "draws.csv")
 
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        rc = cli.main(["predict", "--dataset", str(tmp_path / "dataset.csv"),
-                       "--draws", str(tmp_path / "draws.csv"), "--n-sims", "10", "--curves",
-                       "--grid-points", "5", "--out-dir", str(tmp_path / "predict")])
-    finally:
-        tracer.uninstall()
+    rc, tracer = _traced(monkeypatch, [
+        "predict", "--dataset", str(tmp_path / "dataset.csv"),
+        "--draws", str(tmp_path / "draws.csv"), "--n-sims", "10", "--curves",
+        "--grid-points", "5", "--out-dir", str(tmp_path / "predict")])
     capsys.readouterr()
 
     assert rc == 0
@@ -90,3 +92,53 @@ def test_traced_predict_records_classify(tmp_path, monkeypatch, capsys):
     names = [span.name for span in tracer.spans()]
     assert names.count("predict.classify") == SIM["n_loans"]
     assert names.count("fileio.read_draws_csv") == 1
+
+
+def test_traced_ingest_records_readers_and_writer(tmp_path, monkeypatch, capsys):
+    orig, perf = tmp_path / "orig.txt", tmp_path / "perf.txt"
+    orig.write_text("\n".join([
+        orow(lid="L001", cs="720", fpd="200501", state="FL"),
+        orow(lid="L002", cs="680", fpd="200503", dti="38", units="2"),
+        orow(lid="L003", cs="750", fpd="200506", rate="6.2", mi="25"),
+        orow(lid="L004", cs="640", fpd="200502", upb="90000", nb="1"),
+    ]) + "\n")
+    perf.write_text("\n".join([
+        prow("L001", "200501"), prow("L001", "200606", rep="N", zb="01"),
+        prow("L002", "200503"), prow("L002", "200703", zb="03"),
+        prow("L003", "200506"), prow("L003", "201402"),
+        prow("L004", "200502"), prow("L004", "200801", dlq="R"),
+    ]) + "\n")
+    rc, tracer = _traced(monkeypatch, [
+        "ingest", "--origination", str(orig), "--performance", str(perf),
+        "--out-dir", str(tmp_path / "ingest")])
+    capsys.readouterr()
+
+    assert rc == 0
+    assert tracer.missing == []
+    counts = _span_counts(tracer)
+    for name in ("ingest.ingest_portfolio", "ingest.read_origination_file",
+                 "ingest.read_performance_file", "fileio.write_dataset_csv"):
+        assert counts[name] == 1, name
+
+
+def test_traced_diagnose_records_coverage_and_loans(tmp_path, monkeypatch, capsys):
+    (tmp_path / "sim.json").write_text(json.dumps(SIM))
+    assert cli.main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out-dir", str(tmp_path)]) == 0
+    dataset = fileio.read_dataset_csv(tmp_path / "dataset.csv")
+    fileio.write_draws_csv(
+        samples_at(params_small(3), n_draws=8, jitter=0.1, schema=dataset.schema),
+        tmp_path / "draws.csv")
+
+    rc, tracer = _traced(monkeypatch, [
+        "diagnose", "--dataset", str(tmp_path / "dataset.csv"),
+        "--draws", str(tmp_path / "draws.csv"), "--out-dir", str(tmp_path / "diagnose")])
+    capsys.readouterr()
+
+    assert rc == 0
+    assert tracer.missing == []
+    counts = _span_counts(tracer)
+    assert counts["diagnostics.coverage_report"] == 1
+    terminated = sum(loan.status is not LoanStatus.ACTIVE for loan in dataset.loans)
+    assert terminated > 0
+    assert counts["diagnostics.loan_diagnostics"] == terminated

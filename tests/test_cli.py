@@ -361,6 +361,29 @@ def test_fit_gates_on_rhat_unless_waived(sim_outputs, tmp_path, fit_config,
     assert (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--data-end", "2014-01", "expected YYYYMM, got '2014-01'"),
+    ("--data-end", "201413", "month out of range in '201413'"),
+    ("--maturity", "-1", "must be positive and finite, got -1.0"),
+    ("--maturity", "inf", "must be positive and finite, got inf"),
+    ("--maturity", "nan", "must be positive and finite, got nan"),
+    ("--maturity", "ten", "invalid float value: 'ten'"),
+    ("--min-category-freq", "1.5", "must be in [0, 1), got 1.5"),
+    ("--max-reject-fraction", "-0.1", "must be in [0, 1], got -0.1"),
+])
+def test_ingest_bad_flag_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        # the input files do not exist: the flag must be refused before any read
+        main(["ingest", "--origination", str(tmp_path / "orig.txt"),
+              "--performance", str(tmp_path / "perf.txt"), flag, value,
+              "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in err
+    assert not out.exists()
+
+
 def test_ingest_missing_schema_file_is_usage_error(tmp_path, capsys):
     orig = tmp_path / "orig.txt"
     perf = tmp_path / "perf.txt"
@@ -551,6 +574,32 @@ def test_draws_value_out_of_domain_exits_4(sim_outputs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 4
     assert f"{draws}:3: {column} must be {need}, got {value}" in err
+
+
+def _swap_thetas(cols):
+    i, j = cols.index("theta_default:intercept"), cols.index("theta_default:x1")
+    cols[i], cols[j] = cols[j], cols[i]
+
+
+@pytest.mark.parametrize("edit", [
+    _swap_thetas,
+    lambda cols: cols.remove("theta_prepay:x1"),
+    lambda cols: cols.remove("sigma2_prepay"),
+    lambda cols: cols.reverse(),
+], ids=["swapped-theta", "missing-theta-prepay", "missing-sigma2-prepay", "reversed"])
+def test_draws_malformed_header_exits_4(sim_outputs, tmp_path, capsys, edit):
+    rows = [line.split(",") for line in (sim_outputs / "draws.csv").read_text().splitlines()]
+    header = list(rows[0])
+    edit(header)
+    cols = [rows[0].index(name) for name in header]  # whole columns move or go
+    draws = tmp_path / "draws.csv"
+    draws.write_text("".join(",".join(row[k] for k in cols) + "\n" for row in rows))
+    rc = main(["predict", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--draws", str(draws), "--n-sims", "5", "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{draws}: expected header chain,iteration,mu_default," in err
+    assert "Traceback" not in err
 
 
 def test_dataset_unparseable_number_names_its_place(sim_outputs, tmp_path, capsys):

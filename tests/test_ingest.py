@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mortsurv import IngestConfig, IngestError, LoanStatus, ZeroVarianceError, ingest_portfolio
 from mortsurv.ingest import (
     DEFAULT_ZB_CODES,
+    QUANT_FIELDS,
     LoanHistory,
     OriginationRecord,
     PreprocessSpec,
@@ -172,6 +173,12 @@ def test_performance_zero_balance_left_padded(tmp_path):
     assert history.n_rows == 2
 
 
+@pytest.mark.parametrize("maturity", [0.0, -1.0, float("inf"), float("nan")])
+def test_config_rejects_maturity_not_positive_and_finite(maturity):
+    with pytest.raises(ValueError, match="maturity_years"):
+        IngestConfig(maturity_years=maturity)
+
+
 # --- outcome classification ------------------------------------------------------
 
 
@@ -250,11 +257,13 @@ def test_unknown_terminal_code_excluded():
     assert "15" in reason
 
 
-def test_event_before_origination_excluded():
-    hist = [perf("A", "200401", rep="N", zb="01")]
-    status, _, reason = label(mon("200501"), hist, CFG)
-    assert status is None
-    assert "precede" in reason
+@pytest.mark.parametrize("origination, hist", [
+    ("200501", [perf("A", "200401", zb="03")]),  # default
+    ("200501", [perf("A", "200401", rep="N", zb="01")]),  # prepaid
+    ("201403", [perf("A", "201312"), perf("A", "201401")]),  # active at the cutoff
+], ids=["default", "prepaid", "active"])
+def test_event_before_origination_excluded(origination, hist):
+    assert label(mon(origination), hist, CFG) == (None, None, "event precedes origination")
 
 
 def test_no_history_excluded():
@@ -377,7 +386,7 @@ def test_unseen_level_maps_to_other_when_kept():
     recs = varied_records(
         200, property_type=lambda i: "SF" if i < 120 else ("CO" if i < 198 else "PU"))
     spec = fit_preprocess(recs, min_category_freq=0.015)
-    (lid, x), = build_design([record_stub(property_type="MH")], spec)
+    x, = build_design([record_stub(property_type="MH")], spec)
     schema = list(spec.schema)
     assert x[schema.index("property_type:other")] == 1.0
     assert x[schema.index("property_type:CO")] == 0.0
@@ -387,9 +396,53 @@ def test_unseen_level_falls_to_baseline_without_other_group():
     recs = varied_records(12, property_type=lambda i: "SF" if i % 3 else "CO")
     spec = fit_preprocess(recs, min_category_freq=0.01)
     assert "other" not in spec.categorical["property_type"]["columns"]
-    (_, x), = build_design([record_stub(property_type="MH")], spec)
+    x, = build_design([record_stub(property_type="MH")], spec)
     schema = list(spec.schema)
     assert x[schema.index("property_type:CO")] == 0.0
+
+
+def test_build_design_fills_every_column_by_its_name():
+    # occupancy: O x 60, "I:2" x 38 kept, S x 2 under the 3% floor -> other;
+    # property type: SF x 70, CO x 30, nothing rare so no other group
+    recs = varied_records(
+        100,
+        first_time_buyer=lambda i: "Y" if i % 2 else "N",
+        occupancy_status=lambda i: "O" if i < 60 else ("I:2" if i < 98 else "S"),
+        property_type=lambda i: "CO" if i % 10 < 3 else "SF",
+        property_state=lambda i: "FL" if i % 4 == 0 else "CA",
+    )
+    spec = fit_preprocess(recs, judicial_states=frozenset({"FL", "NY"}),
+                          min_category_freq=0.03)
+    assert spec.schema[7:] == (
+        "intercept", "first_time_buyer:Y", "occupancy_status:I:2", "occupancy_status:other",
+        "judicial_state", "property_type:CO")
+    probes = [
+        record_stub(loan_id="kept", credit_score=650.0, first_time_buyer="Y",
+                    occupancy_status="I:2", property_type="CO", property_state="NY"),
+        record_stub(loan_id="merged", first_time_buyer=None, occupancy_status="S",
+                    property_type="MH", property_state="CA"),
+        record_stub(loan_id="unseen", first_time_buyer="N", occupancy_status="I",
+                    property_type="SF", property_state="TX"),
+    ]
+    # quantitative columns are (x - mean) / sd with the fitted population moments
+    x_fit = build_design(recs, spec)
+    np.testing.assert_allclose(x_fit[:, :7].mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(x_fit[:, :7].std(axis=0), 1.0, rtol=1e-12)
+    x_probes = build_design(probes, spec)
+    assert x_probes.shape == (3, len(spec.schema))
+    indicators = {
+        # ftb:Y, occ:I:2, occ:other, judicial, ptype:CO
+        "kept": [1, 1, 0, 1, 1],
+        "merged": [0, 0, 1, 0, 0],  # missing ftb -> baseline (no other group);
+                                    # S merged -> other; unseen MH -> baseline
+        "unseen": [0, 0, 1, 0, 0],  # unseen "I" (not "I:2") -> other
+    }
+    for rec, x in zip(probes, x_probes):
+        for j, name in enumerate(QUANT_FIELDS):
+            mean, sd = spec.quantitative[name]
+            assert x[j] == (getattr(rec, name) - mean) / sd, name
+        assert x[7] == 1.0
+        assert list(x[8:]) == indicators[rec.loan_id], rec.loan_id
 
 
 def test_judicial_state_membership():
