@@ -108,6 +108,8 @@ def read_dataset_csv(path) -> Dataset:
 
     Rows of one loan must be consecutive and agree on the loan-level
     fields; covariate observation times must be strictly increasing.
+    An error in a row names ``path:line``; one in a loan-level field names
+    the line of the loan's first row.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -122,52 +124,39 @@ def read_dataset_csv(path) -> Dataset:
         if not schema:
             raise ValueError(f"{path}: no covariate columns")
 
-        loans: list[LoanObservation] = []
+        heads: list[tuple] = []  # (loan_id, status, time, maturity) per loan
+        starts: list[int] = []  # index of each loan's first row
+        obs_times: list[float] = []
+        values: list[list[float]] = []
         seen: set[str] = set()
-        current: dict | None = None
-
-        def flush(block: dict) -> None:
-            loans.append(
-                LoanObservation(
-                    loan_id=block["loan_id"],
-                    status=block["status"],
-                    time=block["time"],
-                    maturity=block["maturity"],
-                    covariates=CovariatePath(
-                        obs_times=np.array(block["obs_times"]),
-                        values=np.array(block["values"]),
-                    ),
-                )
-            )
-
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(fixed) + len(schema):
                 raise ValueError(f"{path}:{line_no}: expected {len(fixed)+len(schema)} fields")
             loan_id, status_s = row[:2]
             if status_s not in _STATUS_BY_VALUE:
                 raise ValueError(f"{path}:{line_no}: unknown status {status_s!r}")
-            time, maturity, obs_time, *values = _numbers(path, line_no, header[2:], row[2:])
+            time, maturity, obs_time, *covariates = _numbers(path, line_no, header[2:], row[2:])
             head = (loan_id, _STATUS_BY_VALUE[status_s], time, maturity)
-            if current is None or current["loan_id"] != loan_id:
-                if current is not None:
-                    flush(current)
+            if not heads or heads[-1][0] != loan_id:
                 if loan_id in seen:
                     raise ValueError(f"{path}:{line_no}: rows of loan {loan_id} not consecutive")
                 seen.add(loan_id)
-                current = {
-                    "loan_id": loan_id,
-                    "status": head[1],
-                    "time": head[2],
-                    "maturity": head[3],
-                    "obs_times": [],
-                    "values": [],
-                }
-            elif (current["status"], current["time"], current["maturity"]) != head[1:]:
+                heads.append(head)
+                starts.append(len(obs_times))
+            elif heads[-1] != head:
                 raise ValueError(f"{path}:{line_no}: loan {loan_id} rows disagree on loan fields")
-            current["obs_times"].append(obs_time)
-            current["values"].append(values)
-        if current is not None:
-            flush(current)
+            obs_times.append(obs_time)
+            values.append(covariates)
+    # row i of the file body is line i + 2 (the header is line 1)
+    paths = CovariatePath._from_columns(
+        obs_times, values, starts, schema, lambda row: f"{path}:{row + 2}"
+    )
+    loans = []
+    for (loan_id, status, time, maturity), start, covariates in zip(heads, starts, paths):
+        try:
+            loans.append(LoanObservation(loan_id, status, time, covariates, maturity))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{start + 2}: {exc}") from None
     return Dataset(loans=tuple(loans), schema=schema)
 
 

@@ -14,6 +14,14 @@ loan, many monthly performance rows per loan) into a modeling dataset:
    and build the design matrix by walking ``PreprocessSpec.schema``,
    each column built as its name says.
 
+The performance file is the bulk of the input, so its reader does per
+row only what the row needs: a row wide enough to hold every mapped
+column has its five cells indexed and stripped directly (a shorter row,
+or a schema leaving a field unmapped, reads cells through ``_cell``,
+where a column past the row's end is blank), and each distinct date text
+is parsed once per file (a text that fails to parse is not remembered,
+so every row carrying it is rejected with its own line number).
+
 Column positions, date format, and per-field missing-value codes live in
 a FileSchema, so differently laid-out files only need a different JSON
 schema, not new code.  A schema for the public single-family sample
@@ -267,8 +275,12 @@ def _parse_origination(loan_id: str, fields: list[str], schema: FileSchema) -> O
             try:
                 if name == "first_payment_date":
                     value = month_index(raw, schema.date_format)
+                elif name in NUMBER_FIELDS:
+                    value = float(raw)
+                    if not math.isfinite(value):
+                        raise ValueError(raw)
                 else:
-                    value = float(raw) if name in NUMBER_FIELDS else raw
+                    value = raw
             except ValueError as exc:
                 detail = exc if name == "first_payment_date" else repr(raw)
                 raise ValueError(f"bad {name}: {detail}") from None
@@ -351,27 +363,36 @@ def read_performance_file(path, schema: FileSchema, config: IngestConfig):
     cols = schema.performance_columns
     id_col, date_col = cols["loan_id"], cols["reporting_date"]
     dlq_col, rep_col, zb_col = (cols.get(k) for k in ("delinquency", "repurchase", "zero_balance"))
+    # a row this wide holds every mapped column, so its cells are indexed
+    # directly; with a field unmapped every row takes the _cell path
+    mapped = (id_col, date_col, dlq_col, rep_col, zb_col)
+    width = math.inf if None in mapped else max(mapped) + 1
     accepted = config.prepaid_repurchase_values
+    months: dict[str, int] = {}  # raw date text -> month, parsed ones only
     histories: dict[str, LoanHistory] = {}
     rejects: list[RejectedRow] = []
     for line_no, fields in _data_rows(path, schema):
-        loan_id = _cell(fields, id_col)
+        if len(fields) >= width:
+            loan_id, raw_date = fields[id_col].strip(), fields[date_col].strip()
+            dlq, rep, zb = fields[dlq_col].strip(), fields[rep_col].strip(), fields[zb_col].strip()
+        else:
+            loan_id, raw_date, dlq, rep, zb = (_cell(fields, col) for col in mapped)
         if not loan_id:
             rejects.append(RejectedRow(line_no, "missing loan_id"))
             continue
-        raw_date = _cell(fields, date_col)
-        try:
-            month = month_index(raw_date, schema.date_format)
-        except ValueError:
-            rejects.append(RejectedRow(line_no, f"bad reporting_date: {raw_date!r}"))
-            continue
-        zb = _cell(fields, zb_col)
+        month = months.get(raw_date)
+        if month is None:
+            try:
+                month = months[raw_date] = month_index(raw_date, schema.date_format)
+            except ValueError:
+                rejects.append(RejectedRow(line_no, f"bad reporting_date: {raw_date!r}"))
+                continue
         if len(zb) == 1:
             zb = "0" + zb
         history = histories.get(loan_id)
         if history is None:
             history = histories[loan_id] = LoanHistory(month, zb)
-        history.add(month, _cell(fields, dlq_col), zb, _cell(fields, rep_col).upper(), accepted)
+        history.add(month, dlq, zb, rep.upper(), accepted)
     return histories, rejects
 
 
@@ -640,15 +661,24 @@ def ingest_portfolio(
         raise IngestError("no loan survived categorization")
     modeling = [rec for rec, _ in kept]
     spec = fit_preprocess(modeling, min_category_freq=config.min_category_freq)
+    # one observation per loan at obs_time 1.0, as CovariatePath.constant;
+    # the values check catches a standardized column that overflowed
+    paths = CovariatePath._from_columns(
+        np.ones(len(modeling)),
+        build_design(modeling, spec),
+        np.arange(len(modeling)),
+        spec.schema,
+        lambda row: f"loan {modeling[row].loan_id}",
+    )
     loans = tuple(
         LoanObservation(
             loan_id=label.loan_id,
             status=label.status,
             time=label.time,
-            covariates=CovariatePath.constant(x),
+            covariates=path,
             maturity=config.maturity_years,
         )
-        for (_, label), x in zip(kept, build_design(modeling, spec))
+        for (_, label), path in zip(kept, paths)
     )
     dataset = Dataset(loans=loans, schema=spec.schema)
     counts = Counter(

@@ -197,6 +197,69 @@ class CovariatePath:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(obs_times=np.array([obs_time]), values=x.reshape(1, -1))
 
+    @classmethod
+    def _from_columns(
+        cls, obs_times, values, starts, names: tuple[str, ...], where
+    ) -> list["CovariatePath"]:
+        """Paths of many loans from flat columns, each column checked once.
+
+        Loan k owns rows ``starts[k]`` up to ``starts[k + 1]`` (or the end)
+        of ``obs_times`` (N,) and ``values`` (N, p); ``starts`` begins at 0
+        and is strictly increasing.  The checks are those of the
+        constructor: a non-finite value, a time not finite and positive, or
+        a time not above the one before it in its loan raises ValueError
+        for the first such row, prefixed by ``where(row)`` and naming the
+        column (``obs_time`` or ``names[j]``).  Each path's arrays are
+        read-only views of one copy of the columns, bit for bit what the
+        constructor would store.
+        """
+        times = np.array(obs_times, dtype=float)
+        vals = np.array(values, dtype=float).reshape(times.size, len(names))
+        first = np.array(starts, dtype=np.intp)
+        later = np.ones(times.size, dtype=bool)  # rows after their loan's first
+        later[first] = False
+        bad_range = ~(np.isfinite(times) & (times > 0.0))
+        bad_order = np.zeros(times.size, dtype=bool)
+        bad_order[1:] = later[1:] & (times[1:] <= times[:-1])
+        bad_value = ~np.isfinite(vals)
+        rows = np.flatnonzero(bad_range | bad_order | bad_value.any(axis=1))
+        if rows.size:
+            i = int(rows[0])
+            t = float(times[i])
+            if bad_range[i]:
+                what = f"obs_time must be finite and positive, got {t!r}"
+            elif bad_order[i]:
+                before = float(times[i - 1])
+                what = (
+                    f"obs_time must be strictly increasing within a loan, "
+                    f"got {t!r} after {before!r}"
+                )
+            else:
+                j = int(np.flatnonzero(bad_value[i])[0])
+                what = f"{names[j]} must be finite, got {float(vals[i, j])!r}"
+            raise ValueError(f"{where(i)}: {what}")
+        # loan k's boundaries are flat[first[k] + k : ends[k] + k + 1]: 0, the
+        # midpoints between its times, then inf; the boundary between its
+        # rows r - 1 and r sits at flat[r + k]
+        ends = np.empty_like(first)
+        ends[:-1], ends[-1:] = first[1:], times.size
+        loan = np.arange(first.size)
+        flat = np.empty(times.size + first.size)
+        flat[first + loan] = 0.0
+        flat[ends + loan] = np.inf
+        r = np.flatnonzero(later)
+        flat[r + np.searchsorted(first, r, "right") - 1] = 0.5 * (times[r - 1] + times[r])
+        for arr in (times, vals, flat):
+            arr.setflags(write=False)
+        paths = []
+        for k, (a, b) in enumerate(zip(first.tolist(), ends.tolist())):
+            path = object.__new__(cls)
+            object.__setattr__(path, "obs_times", times[a:b])
+            object.__setattr__(path, "values", vals[a:b])
+            object.__setattr__(path, "boundaries", flat[a + k : b + k + 1])
+            paths.append(path)
+        return paths
+
 
 @dataclass(frozen=True)
 class LoanObservation:

@@ -7,6 +7,7 @@ stay simple; the console entry point is the same function.
 from __future__ import annotations
 
 import json
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -609,6 +610,67 @@ def test_dataset_unparseable_number_names_its_place(sim_outputs, tmp_path, capsy
     err = capsys.readouterr().err
     assert rc == 4
     assert f"{dataset}:4: time 'abc' is not a number" in err
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (["b,default,2.0,30.0,1.0,1.0,nan"], 3, "x1 must be finite, got nan"),
+    (["b,default,2.0,30.0,inf,1.0,0.5"], 3, "obs_time must be finite and positive, got inf"),
+    (["b,default,2.0,30.0,nan,1.0,0.5"], 3, "obs_time must be finite and positive, got nan"),
+    (["b,default,2.0,30.0,0.0,1.0,0.5"], 3, "obs_time must be finite and positive, got 0.0"),
+    (["b,default,2.0,30.0,1.0,1.0,0.5", "b,default,2.0,30.0,1.0,1.0,0.7"], 4,
+     "obs_time must be strictly increasing within a loan, got 1.0 after 1.0"),
+    (["b,default,-1.0,30.0,1.0,1.0,0.5", "b,default,-1.0,30.0,2.0,1.0,0.5"], 3,
+     "loan b: time must be positive, got -1.0"),
+    (["b,active,40.0,30.0,1.0,1.0,0.5", "b,active,40.0,30.0,2.0,1.0,0.5"], 3,
+     "loan b: active beyond maturity (40.0 > 30.0)"),
+    (["b,prepaid,1.0,30.0,1.0,1.0,0.5", "a,default,2.0,30.0,2.0,1.0,0.5"], 4,
+     "rows of loan a not consecutive"),
+    (["a,default,3.0,30.0,2.0,1.0,0.5"], 3, "loan a rows disagree on loan fields"),
+], ids=["covariate-nan", "obs-time-inf", "obs-time-nan", "obs-time-zero", "obs-time-repeats",
+        "time-negative", "active-past-maturity", "not-consecutive", "disagree"])
+def test_dataset_content_error_names_its_place(tmp_path, capsys, rows, line, message):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("loan_id,status,time,maturity,obs_time,intercept,x1\n"
+                       "a,default,2.0,30.0,1.0,1.0,0.5\n" + "".join(r + "\n" for r in rows)
+                       + "c,prepaid,1.0,30.0,1.0,1.0,0.5\n")
+    rc = main(["fit", "--dataset", str(dataset), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{dataset}:{line}: {message}" in err
+
+
+def test_ingest_non_finite_origination_number_rejects_row_without_warning(tmp_path, capsys):
+    orig = tmp_path / "orig.txt"
+    orig.write_text("\n".join([
+        orow(lid="L001", cs="720", fpd="200501", state="FL"),
+        orow(lid="L002", cs="680", fpd="200503", dti="38", units="2"),
+        orow(lid="L003", cs="750", fpd="200506", rate="6.2", mi="25"),
+        orow(lid="L004", cs="640", fpd="200502", upb="90000", nb="1"),
+        orow(lid="L005", cs="nan", fpd="200502"),
+        orow(lid="L006", upb="1e400", fpd="200502"),
+    ]) + "\n")
+    perf = tmp_path / "perf.txt"
+    perf.write_text("\n".join([
+        prow("L001", "200501"), prow("L001", "200606", rep="N", zb="01"),
+        prow("L002", "200503"), prow("L002", "200703", zb="03"),
+        prow("L003", "200506"), prow("L003", "201402"),
+        prow("L004", "200502"), prow("L004", "200801", dlq="R"),
+        prow("L005", "200502"), prow("L005", "200801", dlq="R"),
+        prow("L006", "200502"), prow("L006", "200801", dlq="R"),
+    ]) + "\n")
+    out = tmp_path / "ing"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["ingest", "--origination", str(orig), "--performance", str(perf),
+                   "--max-reject-fraction", "0.5", "--out-dir", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "rejects.csv").read_text().splitlines() == [
+        "file,line,reason",
+        "origination,5,bad credit_score: 'nan'",
+        "origination,6,bad upb: '1e400'",
+    ]
+    assert len(read_dataset_csv(out / "dataset.csv").loans) == 4
 
 
 @pytest.mark.parametrize("column, value, kind", [

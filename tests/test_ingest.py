@@ -3,6 +3,7 @@ and the end-to-end portfolio build."""
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -12,13 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortsurv import IngestConfig, IngestError, LoanStatus, ZeroVarianceError, ingest_portfolio
+from mortsurv import (
+    CovariatePath,
+    Dataset,
+    IngestConfig,
+    IngestError,
+    LoanObservation,
+    LoanStatus,
+    ZeroVarianceError,
+    ingest_portfolio,
+)
+from mortsurv.fileio import read_dataset_csv, write_dataset_csv
 from mortsurv.ingest import (
     DEFAULT_ZB_CODES,
     QUANT_FIELDS,
     LoanHistory,
     OriginationRecord,
     PreprocessSpec,
+    RejectedRow,
+    _cell,
+    _data_rows,
     build_design,
     categorize,
     fit_preprocess,
@@ -150,6 +164,17 @@ def test_blank_cell_is_missing_even_when_codes_omit_it(tmp_path):
     assert rejects == []
     assert [(r.loan_id, r.dti, r.credit_score) for r in records] == [
         ("A1", None, 720.0), ("A2", None, 720.0)]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_origination_number_rejects_its_row(tmp_path, cell):
+    f = tmp_path / "orig.txt"
+    f.write_text(orow(lid="A1") + "\n" + orow(lid="A2", cs=cell) + "\n"
+                 + orow(lid="A3", cltv=cell) + "\n")
+    records, rejects = read_origination_file(f, load_default_schema())
+    assert [r.loan_id for r in records] == ["A1"]
+    assert rejects == [RejectedRow(2, f"bad credit_score: {cell!r}"),
+                       RejectedRow(3, f"bad cltv: {cell!r}")]
 
 
 def test_origination_duplicate_and_blank_id_rejected(tmp_path):
@@ -349,6 +374,99 @@ def test_fold_labels_like_sorted_scan(rows, origination, blank_ok):
                      for j, dm, dlq, rep, zb in rows if j == k]
         assert (categorize(end + origination, histories.get(f"L{k}"), config)
                 == reference_label(end + origination, loan_rows, config))
+
+
+def reference_read_performance(path, schema, config):
+    """The performance reader with every field read through ``_cell`` and
+    ``month_index`` called on every row."""
+    cols = schema.performance_columns
+    histories, rejects = {}, []
+    for line_no, fields in _data_rows(path, schema):
+        loan_id = _cell(fields, cols["loan_id"])
+        if not loan_id:
+            rejects.append(RejectedRow(line_no, "missing loan_id"))
+            continue
+        raw_date = _cell(fields, cols["reporting_date"])
+        try:
+            month = month_index(raw_date, schema.date_format)
+        except ValueError:
+            rejects.append(RejectedRow(line_no, f"bad reporting_date: {raw_date!r}"))
+            continue
+        zb = _cell(fields, cols.get("zero_balance"))
+        zb = "0" + zb if len(zb) == 1 else zb
+        if loan_id not in histories:
+            histories[loan_id] = LoanHistory(month, zb)
+        histories[loan_id].add(month, _cell(fields, cols.get("delinquency")), zb,
+                               _cell(fields, cols.get("repurchase")).upper(),
+                               config.prepaid_repurchase_values)
+    return histories, rejects
+
+
+SCHEMAS = {
+    "yyyymm": load_default_schema(),
+    "yyyy-mm": replace(load_default_schema(), date_format="yyyy-mm"),
+    "no-delinquency": replace(load_default_schema(), performance_columns={
+        k: v for k, v in load_default_schema().performance_columns.items()
+        if k != "delinquency"}),
+}
+PADDED = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def performance_files(draw):
+    """(schema name, file bytes): rows in the default column layout, some
+    shorter than the mapped width, cells padded, repeated bad dates, CRLF
+    endings and blank lines."""
+    name = draw(st.sampled_from(sorted(SCHEMAS)))
+    months = [f"2013{m:02d}" for m in (1, 2, 11, 12)] + ["201401"]
+    bad = ["2003AB", "200513", "2005-1", "", "20051"]
+    if name == "yyyy-mm":
+        months = [f"{m[:4]}-{m[4:]}" for m in months]
+        bad = ["2003-AB", "2005-13", "200501", "", "2005-"]
+    cell = {
+        0: st.sampled_from(["L1", "L2", "L3", ""]),
+        1: st.sampled_from(months + bad[:1] * 3 + bad),
+        3: st.sampled_from(["0", "3", "R", ""]),
+        6: st.sampled_from(["", "N", "n", "Y"]),
+        8: st.sampled_from(["", "1", "01", "3", "03", "09", "02"]),
+    }
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        width = draw(st.sampled_from([2, 4, 7, 8, 9, 9, 9, 12]))
+        cells = []
+        for col in range(width):
+            text = draw(cell[col]) if col in cell else draw(st.sampled_from(["", "x"]))
+            cells.append(draw(PADDED) + text + draw(PADDED))
+        lines.append("|".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return name, "".join(line + end for line in lines).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=performance_files(), blank_ok=st.booleans())
+def test_performance_reader_equals_per_cell_reference(tmp_path_factory, case, blank_ok):
+    name, body = case
+    config = IngestConfig(prepaid_repurchase_values=("N", "") if blank_ok else ("N",))
+    f = tmp_path_factory.getbasetemp() / "oracle_perf.txt"
+    f.write_bytes(body)
+    assert (read_performance_file(f, SCHEMAS[name], config)
+            == reference_read_performance(f, SCHEMAS[name], config))
+
+
+def test_performance_reader_equals_per_cell_reference_on_benchmark_layout(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    gen.write_raw_pair(tmp_path / "orig.txt", tmp_path / "perf.txt", 300, 5)
+    config = IngestConfig()
+    got = read_performance_file(tmp_path / "perf.txt", load_default_schema(), config)
+    assert got == reference_read_performance(tmp_path / "perf.txt", load_default_schema(), config)
+    assert len(got[0]) > 250 and got[1]
 
 
 # --- preprocessing ----------------------------------------------------------------
@@ -557,6 +675,19 @@ def test_missing_property_state_excluded_not_built(toy_files):
     assert result.counts["excluded"] == 3
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_standardized_column_that_overflows_names_loan_and_field(toy_files):
+    orig, perf_file = toy_files
+    lines = orig.read_text().splitlines()
+    for k in (0, 1):
+        cells = lines[k].split("|")
+        cells[10] = "1.7e308"  # finite, but the column's mean overflows
+        lines[k] = "|".join(cells)
+    orig.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^loan L001: upb must be finite, got nan$"):
+        ingest_portfolio(orig, perf_file)
+
+
 def test_reject_threshold_aborts(tmp_path):
     orig = tmp_path / "orig.txt"
     orig.write_text("\n".join(
@@ -568,3 +699,30 @@ def test_reject_threshold_aborts(tmp_path):
     with pytest.raises(IngestError):
         ingest_portfolio(orig, perf_file,
                          config=IngestConfig(max_reject_fraction=0.1))
+
+
+def test_bulk_built_paths_are_read_only_and_bitwise_checked(toy_files, tmp_path):
+    orig, perf_file = toy_files
+    result = ingest_portfolio(orig, perf_file)
+    by_id = {r.loan_id: r for r in read_origination_file(orig, load_default_schema())[0]}
+    design = build_design([by_id[loan.loan_id] for loan in result.dataset.loans],
+                          result.preprocess)
+    step = Dataset(loans=(
+        LoanObservation("s1", LoanStatus.PREPAID, 2.5, CovariatePath(
+            [0.25, 1.0, 1.75, 4.0], [[0.1, -2.0], [0.3, 1e-300], [-0.0, 5.0], [7.0, 0.5]])),
+        LoanObservation("c1", LoanStatus.ACTIVE, 3.0, CovariatePath.constant([1.5, -0.25])),
+        LoanObservation("s2", LoanStatus.DEFAULTED, 0.5, CovariatePath(
+            [0.5, 0.5000000000000001], [[1.0, 2.0], [3.0, 4.0]])),
+    ), schema=("a", "b"))
+    write_dataset_csv(step, tmp_path / "step.csv")
+    pairs = [(loan.covariates, CovariatePath.constant(x))
+             for loan, x in zip(result.dataset.loans, design)]
+    pairs += [(got.covariates, want.covariates)
+              for got, want in zip(read_dataset_csv(tmp_path / "step.csv").loans, step.loans)]
+    assert len(pairs) == len(result.dataset.loans) + 3
+    for path, checked in pairs:
+        for name in ("obs_times", "values", "boundaries"):
+            got, want = getattr(path, name), getattr(checked, name)
+            assert not got.flags.writeable, name
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
