@@ -1,7 +1,7 @@
 """Generate a synthetic portfolio with known parameters and fit it back.
 
 A quick version of the recovery workflow: simulate 500 loans, run four
-short adaptive chains, and compare the posterior intervals with the
+short chains, and compare the posterior intervals with the
 truth that generated the data.  Takes well under a minute; production
 runs use the defaults (4 chains x 20k sweeps).
 """

@@ -3,7 +3,7 @@
 Loans face two racing terminal events, default and prepayment, each with
 a lognormal-baseline proportional-hazards rate.  The package covers the
 full workflow: ingesting loan-level files, exact likelihood evaluation,
-adaptive Metropolis-within-Gibbs posterior sampling, posterior-predictive
+Laplace-fitted Metropolis-Hastings posterior sampling, posterior-predictive
 curves and outcome probabilities, and residual/coverage diagnostics,
 plus a synthetic-data generator with known ground truth.
 """

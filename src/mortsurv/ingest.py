@@ -508,10 +508,11 @@ def fit_preprocess(
 
     Quantitative statistics use the population convention (ddof 0) over
     non-missing values; a constant field raises ZeroVarianceError since
-    its standardized column would be ill-defined.  Categorical levels
-    seen in less than ``min_category_freq`` of non-missing rows merge
-    into "other"; the most frequent level becomes the baseline and gets
-    no column.
+    its standardized column would be ill-defined, and a field whose mean
+    or standard deviation overflows raises IngestError naming it.
+    Categorical levels seen in less than ``min_category_freq`` of
+    non-missing rows merge into "other"; the most frequent level becomes
+    the baseline and gets no column.
     """
     if not records:
         raise IngestError("cannot fit preprocessing on zero loans")
@@ -524,8 +525,14 @@ def fit_preprocess(
         )
         if vals.size == 0:
             raise IngestError(f"field {name} has no usable values")
-        mean = float(np.mean(vals))
-        sd = float(np.std(vals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(vals))
+            sd = float(np.std(vals))
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise IngestError(
+                f"field {name} cannot be standardized: its mean ({mean}) or standard "
+                f"deviation ({sd}) overflows"
+            )
         if sd == 0.0:
             raise ZeroVarianceError(f"field {name} is constant ({mean}); cannot standardize")
         quantitative[name] = (mean, sd)

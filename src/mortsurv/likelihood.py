@@ -6,8 +6,9 @@ loan's observation window, and censored loans contribute only the
 integrals.  Within one risk it factors further into a coefficient part
 (terms depending on theta) and a baseline part (terms depending on mu,
 sigma2), joined by a single weighted sum over covariate-constant segments.
-A Metropolis sweep that moves one block at a time therefore only recomputes
-the part that block touches.
+The sampler evaluates each proposal as one ``coef_parts`` plus one
+``baseline_parts``; ``risk_loglik_grad`` adds the gradient in (theta, mu,
+log sigma2) for the sampler's mode search, from the same log-survival pass.
 
 The baseline part costs one normal log-survival evaluation per distinct
 positive segment boundary time, not per segment: each segment's
@@ -44,6 +45,8 @@ from .model import (
 )
 
 __all__ = ["PortfolioLikelihood", "loan_loglik", "total_loglik"]
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -152,29 +155,81 @@ class PortfolioLikelihood:
         and per-event value is the arithmetic of evaluating that segment or
         event on its own, so the sums match it bit for bit.
         """
+        return self._baseline_pass(risk, baseline)[0]
+
+    def _baseline_pass(
+        self, risk: RiskKind, baseline: LognormalBaseline
+    ) -> tuple[BaselineParts, np.ndarray, np.ndarray]:
+        """``baseline_parts`` with the z and log S0 of every distinct time."""
         z = (self._log_times - baseline.mu) / baseline.sigma
         log_surv = log_normal_survival(z)
-        h0 = -log_surv
-        cumhaz = h0[self._hi_idx]
-        cumhaz[self._inner] -= h0[self._inner_lo_idx]
+        cumhaz = self._per_segment(-log_surv)
         np.maximum(cumhaz, 0.0, out=cumhaz)
         idx = self._event_idx[risk]
         logr_sum = 0.0
         if idx.size:
             log_r = _lognormal_log_pdf(self._log_times, z, baseline) - log_surv
             logr_sum = float(np.sum(log_r[idx]))
-        return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz)
+        return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz), z, log_surv
+
+    def _per_segment(self, at_times: np.ndarray) -> np.ndarray:
+        """Each segment's increment of a function of time given at the
+        distinct times (last axis): its value at the segment end, minus its
+        value at the start for a segment that starts after time 0."""
+        out = at_times[..., self._hi_idx]
+        out[..., self._inner] -= at_times[..., self._inner_lo_idx]
+        return out
 
     @staticmethod
     def combine(coef: CoefParts, base: BaselineParts) -> float:
         """Assemble one risk's log-likelihood from its two parts."""
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             lam = float(np.sum(coef.seg_weights * base.seg_cumhaz))
         # inf * 0 only occurs when exp(theta'x) overflowed; such a point is
         # beyond float range for the true likelihood too, so treat as -inf
         if math.isnan(lam):
             lam = math.inf
         return coef.event_eta_sum + base.event_logr_sum - lam
+
+    def risk_loglik_grad(
+        self, risk: RiskKind, theta: np.ndarray, baseline: LognormalBaseline
+    ) -> tuple[float, np.ndarray]:
+        """One risk's log-likelihood and its gradient in (theta, mu, log sigma2).
+
+        The gradient reuses the log-survival pass of ``baseline_parts``.
+        With M(z) = phi(z) / S0(z), the inverse Mills ratio, dH0/dz = M
+        and d log r/dz = M - z, while dz/dmu = -1/sigma and
+        dz/dlog sigma2 = -z/2, so
+
+        - theta: the summed event covariates minus ``seg_x' (weights * cumhaz)``;
+        - mu: (sum over events of (z - M) + weights @ per-segment dM) / sigma;
+        - log sigma2: (sum over events of z(z - M), minus the event count,
+          plus weights @ per-segment d(zM)) / 2.
+
+        The value equals ``risk_loglik``.  The gradient holds non-finite
+        entries where the value is -inf through overflow.
+        """
+        coef = self.coef_parts(risk, theta)
+        base, z, log_surv = self._baseline_pass(risk, baseline)
+        ll = self.combine(coef, base)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mills = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_surv)
+            w = coef.seg_weights
+            g_theta = self._event_x[risk].sum(axis=0) - self._seg_x.T @ (w * base.seg_cumhaz)
+            d_mu, d_l = self._per_segment(np.stack((mills, z * mills))) @ w
+        idx = self._event_idx[risk]
+        z_e, m_e = z[idx], mills[idx]
+        g_mu = (float(np.sum(z_e - m_e)) + d_mu) / baseline.sigma
+        g_l = 0.5 * (float(np.sum(z_e * (z_e - m_e))) - idx.size + d_l)
+        return ll, np.concatenate((g_theta, (g_mu, g_l)))
+
+    def unit_column(self) -> int | None:
+        """The first design column that is 1 on every segment (an intercept),
+        or None when there is none or there are no segments."""
+        if not self.n_segments:
+            return None
+        ones = np.flatnonzero(np.all(self._seg_x == 1.0, axis=0))
+        return int(ones[0]) if ones.size else None
 
     def risk_loglik(
         self, risk: RiskKind, theta: np.ndarray, baseline: LognormalBaseline

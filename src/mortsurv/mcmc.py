@@ -1,29 +1,42 @@
-"""Posterior sampling by adaptive Metropolis-within-Gibbs.
+"""Posterior sampling with one Laplace-fitted Metropolis-Hastings block per risk.
 
-Each sweep updates six blocks in a fixed order: the two coefficient
-vectors (Gaussian random walk on the whole block), the two log-time
-locations (scalar Gaussian random walk), and the two log-time variances
-(multiplicative uniform proposal on (a*s2, s2/a), whose Hastings
-correction is the ratio of interval lengths, s2/s2*).  Because the
-likelihood factors per risk and per block, each update recomputes only
-the parts its block touches.
+The posterior factors over the two risks, so each risk is one block of
+its coefficients, log-time location and log-time variance.  Once per fit,
+``laplace_block`` finds the block's posterior mode by BFGS on the analytic
+gradient (``PortfolioLikelihood.risk_loglik_grad``) and takes the Hessian
+there from central differences of that gradient.  Every sweep then makes
+one proposal per risk.  Two sweeps in three draw it from a fixed
+multivariate t around the mode, with ``PROPOSAL_DF`` degrees of freedom
+and scale ``PROPOSAL_SCALE`` times a square root of the Laplace
+covariance (the inverse negative Hessian), and accept it with the
+independence-sampler ratio (Tierney 1994).  Every ``_CYCLE``-th sweep
+instead proposes a random-walk step with covariance (``RW_SCALE``**2 / d)
+times the Laplace covariance (Roberts & Rosenthal 2001): where the
+posterior has a heavier or more skewed tail than the t, an independence
+chain that lands in it can reject for hundreds of sweeps, and the local
+move lets it walk out.  A sweep costs one ``coef_parts`` and one
+``baseline_parts`` per risk, and the kernel is the same from the first
+sweep to the last.
 
-Proposal scales adapt by Robbins-Monro during burn-in only (step size
-k**-0.6 toward a target acceptance rate, 0.25 for vector blocks and 0.4
-for scalars) and are frozen from the first post-burn-in sweep, so
-recorded draws come from a fixed-kernel chain.  The starting scales,
-targets and clamps are the module constants in ``TUNING``.
+The block is sampled in coordinates chosen per risk (``Coordinates``).
+When the design has an intercept column and the risk has events, the
+intercept, mu and sigma2 become
+a = intercept - (m - mu)**2 / (2 sigma2), b = (mu - m) / sigma2 and
+l = log sigma2, with m the mean log event time: the log hazard level and
+slope at log t = m, which the data pin down nearly independently.
+Otherwise the block is (theta, mu, l).  The prior stays on the model
+parameters, so the target carries the log-Jacobian 2l or l.
 
-Chains run one after another in chain order; they hold the interpreter
-lock throughout, so a thread pool gains nothing.  Chain ``c`` draws from
-``default_rng(SeedSequence(seed, spawn_key=(c,)))`` and depends on no
-other chain, so any chain can be rerun on its own with ``run_chain``.
+Chains run one after another in chain order.  Chain ``c`` draws from
+``default_rng(SeedSequence(seed, spawn_key=(c,)))``, starts from one draw
+of the proposal and depends on no other chain, so any chain can be rerun
+on its own with ``run_chain``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +46,15 @@ from .model import Dataset, LognormalBaseline, ModelParams, RiskKind
 __all__ = [
     "PriorSpec",
     "SamplerConfig",
-    "ChainState",
+    "Coordinates",
+    "LaplaceBlock",
     "ChainResult",
     "PosteriorSamples",
     "ParamSummary",
     "InitializationError",
     "log_posterior",
     "param_names",
-    "update_theta",
-    "update_mu",
-    "update_sigma2",
+    "laplace_block",
     "run_chain",
     "run_sampler",
     "split_rhat",
@@ -50,29 +62,26 @@ __all__ = [
     "summarize",
 ]
 
-# update order within one sweep: (block, kind, risk)
-BLOCKS = (
-    ("theta_default", "theta", RiskKind.DEFAULT),
-    ("theta_prepay", "theta", RiskKind.PREPAY),
-    ("mu_default", "mu", RiskKind.DEFAULT),
-    ("mu_prepay", "mu", RiskKind.PREPAY),
-    ("sigma2_default", "sigma2", RiskKind.DEFAULT),
-    ("sigma2_prepay", "sigma2", RiskKind.PREPAY),
-)
-
-# kind: (starting value, target acceptance rate, lower clamp, upper clamp)
-# of the tuned proposal scale.  theta and mu tune their random-walk sd;
-# sigma2 tunes the log half-width b = -log a of its interval (a*s2, s2/a),
-# starting from a = 0.5.
-TUNING = {
-    "theta": (0.1, 0.25, 1e-8, 1e8),
-    "mu": (0.1, 0.4, 1e-8, 1e8),
-    "sigma2": (-math.log(0.5), 0.4, 1e-6, 30.0),
-}
+# the independence proposal: a multivariate t with this many degrees of
+# freedom, scaled by this factor times a square root of the Laplace covariance
+PROPOSAL_DF = 5
+PROPOSAL_SCALE = 1.2
+# every _CYCLE-th sweep proposes a random-walk step instead, scaled by
+# RW_SCALE / sqrt(d) times the same root (Roberts & Rosenthal 2001)
+_CYCLE = 3
+RW_SCALE = 2.38
+# proposals are drawn this many sweeps at a time
+_CHUNK = 1024
+# mode search: BFGS steps per run, the squared Newton decrement (squared
+# distance to the mode in posterior standard deviations) at which a run
+# stops, and how many Hessians it may take to get below it
+_MAX_STEPS = 200
+_DECREMENT_TOL = 1e-4
+_POLISH = 3
 
 
 class InitializationError(ValueError):
-    """The chain's starting point has a non-finite log-posterior."""
+    """A risk's mode search found no usable Laplace approximation."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,23 @@ class PriorSpec:
             out += _log_invgamma(b.sigma2, self.sigma2_shape, self.sigma2_rate)
         return out
 
+    def risk_log_density(self, theta, mu, l):
+        """One risk's log prior density at (theta, mu, sigma2 = exp(l)), up to
+        a constant; vectorized over leading axes."""
+        return (
+            -0.5 * np.sum(theta * theta, axis=-1) / self.theta_sd**2
+            - 0.5 * mu * mu / self.mu_sd**2
+            - (self.sigma2_shape + 1.0) * l
+            - self.sigma2_rate * np.exp(-l)
+        )
+
+    def risk_log_density_grad(self, theta: np.ndarray, mu: float, l: float) -> np.ndarray:
+        """Gradient of ``risk_log_density`` in (theta, mu, l)."""
+        return np.concatenate((
+            -theta / self.theta_sd**2,
+            (-mu / self.mu_sd**2, self.sigma2_rate * math.exp(-l) - self.sigma2_shape - 1.0),
+        ))
+
 
 def _log_normal_sum(x: np.ndarray, sd: float) -> float:
     return float(
@@ -129,7 +155,7 @@ class SamplerConfig:
     """Run shape shared by all chains.
 
     Kept draws are the post-burn-in sweeps at multiples of ``thin``.
-    Proposal tuning is fixed (``TUNING``), not configured.
+    The proposal is fixed by the Laplace fit, not configured.
     """
 
     n_chains: int = 4
@@ -156,63 +182,6 @@ class SamplerConfig:
         return (self.n_iters - self.burn_in) // self.thin
 
 
-@dataclass(frozen=True)
-class _RiskState:
-    """One risk's current parameters with cached likelihood parts."""
-
-    theta: np.ndarray
-    mu: float
-    sigma2: float
-    coef: object  # CoefParts
-    base: object  # BaselineParts
-    ll: float
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Current point of one chain, with per-risk cached log-likelihoods."""
-
-    default: _RiskState
-    prepay: _RiskState
-
-    @classmethod
-    def from_params(cls, like: PortfolioLikelihood, params: ModelParams) -> "ChainState":
-        states = {}
-        for risk in RiskKind:
-            theta = params.theta(risk)
-            b = params.baseline(risk)
-            coef = like.coef_parts(risk, theta)
-            base = like.baseline_parts(risk, b)
-            states[risk] = _RiskState(
-                theta=theta,
-                mu=b.mu,
-                sigma2=b.sigma2,
-                coef=coef,
-                base=base,
-                ll=PortfolioLikelihood.combine(coef, base),
-            )
-        return cls(default=states[RiskKind.DEFAULT], prepay=states[RiskKind.PREPAY])
-
-    def risk(self, risk: RiskKind) -> _RiskState:
-        return self.default if risk is RiskKind.DEFAULT else self.prepay
-
-    def with_risk(self, risk: RiskKind, rs: _RiskState) -> "ChainState":
-        if risk is RiskKind.DEFAULT:
-            return replace(self, default=rs)
-        return replace(self, prepay=rs)
-
-    def params(self) -> ModelParams:
-        return ModelParams(
-            baseline_default=LognormalBaseline(self.default.mu, self.default.sigma2),
-            baseline_prepay=LognormalBaseline(self.prepay.mu, self.prepay.sigma2),
-            theta_default=self.default.theta,
-            theta_prepay=self.prepay.theta,
-        )
-
-    def loglik(self) -> float:
-        return self.default.ll + self.prepay.ll
-
-
 def log_posterior(data: Dataset, params: ModelParams, prior: PriorSpec) -> float:
     """Unnormalized log-posterior: exact log-likelihood plus log-prior."""
     from .likelihood import total_loglik
@@ -220,85 +189,290 @@ def log_posterior(data: Dataset, params: ModelParams, prior: PriorSpec) -> float
     return total_loglik(data, params) + prior.log_density(params)
 
 
-def _accept(rng: np.random.Generator, log_ratio: float) -> bool:
-    # one uniform per proposal, drawn unconditionally to keep the stream
-    # layout independent of the accept/reject outcome
-    u = rng.uniform()
-    if log_ratio >= 0.0:
-        return True
-    log_u = math.log(u) if u > 0.0 else -math.inf
-    return log_u < log_ratio
+@dataclass(frozen=True)
+class Coordinates:
+    """The sampling coordinates u of one risk's block, length p + 2.
 
-
-def update_theta(
-    state: ChainState,
-    risk: RiskKind,
-    like: PortfolioLikelihood,
-    prior: PriorSpec,
-    scale: float,
-    rng: np.random.Generator,
-) -> tuple[ChainState, bool]:
-    """Gaussian random-walk update of one risk's whole coefficient block."""
-    rs = state.risk(risk)
-    prop = rs.theta + scale * rng.standard_normal(rs.theta.size)
-    coef = like.coef_parts(risk, prop)
-    ll = PortfolioLikelihood.combine(coef, rs.base)
-    log_ratio = (ll - rs.ll) + float(
-        np.sum(rs.theta * rs.theta) - np.sum(prop * prop)
-    ) / (2.0 * prior.theta_sd**2)
-    if _accept(rng, log_ratio):
-        prop.setflags(write=False)
-        return state.with_risk(risk, replace(rs, theta=prop, coef=coef, ll=ll)), True
-    return state, False
-
-
-def update_mu(
-    state: ChainState,
-    risk: RiskKind,
-    like: PortfolioLikelihood,
-    prior: PriorSpec,
-    scale: float,
-    rng: np.random.Generator,
-) -> tuple[ChainState, bool]:
-    """Scalar Gaussian random-walk update of one risk's log-time location."""
-    rs = state.risk(risk)
-    prop = rs.mu + scale * float(rng.standard_normal())
-    base = like.baseline_parts(risk, LognormalBaseline(prop, rs.sigma2))
-    ll = PortfolioLikelihood.combine(rs.coef, base)
-    log_ratio = (ll - rs.ll) + (rs.mu * rs.mu - prop * prop) / (2.0 * prior.mu_sd**2)
-    if _accept(rng, log_ratio):
-        return state.with_risk(risk, replace(rs, mu=prop, base=base, ll=ll)), True
-    return state, False
-
-
-def update_sigma2(
-    state: ChainState,
-    risk: RiskKind,
-    like: PortfolioLikelihood,
-    prior: PriorSpec,
-    shrink: float,
-    rng: np.random.Generator,
-) -> tuple[ChainState, bool]:
-    """Multiplicative uniform update of one risk's log-time variance.
-
-    Proposes s2* ~ Uniform(a*s2, s2/a) with a = ``shrink``; the reverse
-    interval (a*s2*, s2*/a) always contains s2, so the Hastings factor is
-    exactly the length ratio s2/s2*.
+    With ``intercept`` None, u = (theta, mu, l) with l = log sigma2, and
+    the log-Jacobian to (theta, mu, sigma2) is l.  With ``intercept`` = j,
+    u[j] = a, u[p] = b and u[p + 1] = l, where sigma2 = exp(l),
+    mu = m + b sigma2 and theta[j] = a + b**2 sigma2 / 2; the other
+    coefficients are unchanged and the log-Jacobian is 2l.
     """
-    rs = state.risk(risk)
-    prop = float(rng.uniform(shrink * rs.sigma2, rs.sigma2 / shrink))
-    base = like.baseline_parts(risk, LognormalBaseline(rs.mu, prop))
-    ll = PortfolioLikelihood.combine(rs.coef, base)
-    log_ratio = (
-        (ll - rs.ll)
-        + _log_invgamma(prop, prior.sigma2_shape, prior.sigma2_rate)
-        - _log_invgamma(rs.sigma2, prior.sigma2_shape, prior.sigma2_rate)
-        + math.log(rs.sigma2)
-        - math.log(prop)
-    )
-    if _accept(rng, log_ratio):
-        return state.with_risk(risk, replace(rs, sigma2=prop, base=base, ll=ll)), True
-    return state, False
+
+    p: int
+    intercept: int | None = None
+    m: float = 0.0
+
+    @property
+    def jacobian_power(self) -> float:
+        """k in the log-Jacobian k * l."""
+        return 1.0 if self.intercept is None else 2.0
+
+    def to_model(self, u):
+        """(theta, mu, l) at u; vectorized over leading axes."""
+        u = np.asarray(u, dtype=float)
+        p = self.p
+        theta = u[..., :p].copy()
+        l = u[..., p + 1]
+        if self.intercept is None:
+            return theta, u[..., p], l
+        b, s2 = u[..., p], np.exp(l)
+        theta[..., self.intercept] += 0.5 * b * b * s2
+        return theta, self.m + b * s2, l
+
+    def from_model(self, theta, mu: float, l: float) -> np.ndarray:
+        """The u of one (theta, mu, l); inverts ``to_model``."""
+        u = np.concatenate((np.asarray(theta, dtype=float), (mu, l)))
+        if self.intercept is not None:
+            b = (mu - self.m) * math.exp(-l)
+            u[self.intercept] -= 0.5 * b * b * math.exp(l)
+            u[self.p] = b
+        return u
+
+    def log_jacobian(self, u):
+        return self.jacobian_power * np.asarray(u, dtype=float)[..., self.p + 1]
+
+    def pull_back(self, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Gradient in u of a function whose gradient in (theta, mu, l) at
+        ``to_model(u)`` is ``grad`` (the chain rule; no Jacobian term)."""
+        if self.intercept is None:
+            return grad
+        p, j = self.p, self.intercept
+        b, s2 = u[p], math.exp(u[p + 1])
+        g_int, g_mu, g_l = grad[j], grad[p], grad[p + 1]
+        out = grad.copy()
+        out[p] = (g_int * b + g_mu) * s2
+        out[p + 1] = g_l + (0.5 * g_int * b * b + g_mu * b) * s2
+        return out
+
+
+def coordinates(like: PortfolioLikelihood, risk: RiskKind) -> Coordinates:
+    """Reparameterised coordinates when the design has an intercept column
+    and the risk has events, else plain."""
+    p = like.dataset.p
+    times = like.event_times(risk)
+    j = like.unit_column()
+    if j is None or not times.size:
+        return Coordinates(p)
+    return Coordinates(p, j, float(np.mean(np.log(times))))
+
+
+@dataclass(frozen=True, eq=False)
+class LaplaceBlock:
+    """One risk's fixed proposals, from the Laplace fit in ``coords``.
+
+    ``chol`` is the lower Cholesky factor C of minus the Hessian at
+    ``mode``, so the Laplace covariance is R R' with R = inv(C)'.  The
+    independence proposal is a t with ``PROPOSAL_DF`` degrees of freedom,
+    centre ``mode`` and scale matrix (``PROPOSAL_SCALE`` R)(...)'; the
+    random-walk step is ``RW_SCALE / sqrt(d)`` R times a standard normal.
+    """
+
+    risk: RiskKind
+    coords: Coordinates
+    mode: np.ndarray  # (d,)
+    chol: np.ndarray  # (d, d)
+
+    @property
+    def root(self) -> np.ndarray:
+        """R with R R' the Laplace covariance."""
+        return np.linalg.inv(self.chol).T
+
+    def independent(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws of the independence proposal, shape (n, d)."""
+        d = self.mode.size
+        z = rng.standard_normal((n, d))
+        g = rng.chisquare(PROPOSAL_DF, size=n) / PROPOSAL_DF
+        return self.mode + (PROPOSAL_SCALE * z / np.sqrt(g)[:, None]) @ self.root.T
+
+    def steps(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` random-walk increments, shape (n, d)."""
+        d = self.mode.size
+        return (RW_SCALE / math.sqrt(d)) * rng.standard_normal((n, d)) @ self.root.T
+
+    def evaluate(
+        self, u: np.ndarray, prior: PriorSpec
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At each row of u: the model values (mu, sigma2, theta); the log
+        prior plus log-Jacobian, -inf where the values are not finite; and
+        the log density of the independence proposal, both up to a constant."""
+        d = self.mode.size
+        delta = (u - self.mode) @ self.chol  # rows of C'(u - mode)
+        log_q = -0.5 * (PROPOSAL_DF + d) * np.log1p(
+            np.einsum("ij,ij->i", delta, delta) / (PROPOSAL_DF * PROPOSAL_SCALE**2)
+        )
+        values = np.empty_like(u)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            theta, values[:, 0], l = self.coords.to_model(u)
+            values[:, 1] = np.exp(l)
+            values[:, 2:] = theta
+            log_prior = prior.risk_log_density(theta, values[:, 0], l) + self.coords.log_jacobian(u)
+        ok = np.isfinite(values).all(axis=1) & (values[:, 1] > 0.0) & np.isfinite(log_prior)
+        log_prior[~ok] = -np.inf
+        return values, log_prior, log_q
+
+
+def _log_target(
+    like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind, coords: Coordinates,
+    u: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Log posterior density of one risk's block in coordinates u, up to a
+    constant, and its gradient in u; (-inf, NaN) where it is not finite."""
+    failed = -math.inf, np.full(u.size, math.nan)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        theta, mu, l = coords.to_model(u)
+        s2 = float(np.exp(l))
+    if not (np.all(np.isfinite(theta)) and math.isfinite(mu) and 0.0 < s2 < math.inf):
+        return failed
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ll, grad = like.risk_loglik_grad(risk, theta, LognormalBaseline(float(mu), s2))
+        value = ll + float(prior.risk_log_density(theta, mu, l)) + float(coords.log_jacobian(u))
+        grad = coords.pull_back(u, grad + prior.risk_log_density_grad(theta, mu, l))
+    grad[-1] += coords.jacobian_power
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
+        return failed
+    return value, grad
+
+
+def _ascend(fg, u: np.ndarray, h_inv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """BFGS ascent of ``fg`` (value and gradient) from u, starting from the
+    inverse negative Hessian estimate ``h_inv`` (steepest ascent when None).
+    The backtracking line search also backs off from non-finite points.
+    Stops when the squared Newton decrement falls below ``_DECREMENT_TOL``,
+    when no step improves, or after ``_MAX_STEPS`` steps; returns the last
+    point and estimate."""
+    f, g = fg(u)
+    eye = np.eye(u.size)
+    rescale = h_inv is None  # rescale the identity at the first update
+    if h_inv is None:
+        h_inv = eye / max(1.0, float(np.linalg.norm(g)))
+    for _ in range(_MAX_STEPS):
+        step = h_inv @ g
+        slope = float(g @ step)
+        if not slope >= _DECREMENT_TOL:
+            break
+        t = 1.0
+        while True:
+            u_new = u + t * step
+            f_new, g_new = fg(u_new)
+            if f_new >= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return u, h_inv
+        s, y = u_new - u, g - g_new
+        sy = float(s @ y)
+        if sy > 0.0:
+            if rescale:
+                h_inv, rescale = (sy / float(y @ y)) * eye, False
+            v = eye - np.outer(s, y) / sy
+            h_inv = v @ h_inv @ v.T + np.outer(s, s) / sy
+        u, f, g = u_new, f_new, g_new
+    return u, h_inv
+
+
+def _hessian(fg, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Symmetrized central differences, with steps h, of the gradient of
+    ``fg`` at u."""
+    d = u.size
+    hess = np.empty((d, d))
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h[k]
+        hess[:, k] = (fg(u + e)[1] - fg(u - e)[1]) / (2.0 * h[k])
+    return 0.5 * (hess + hess.T)
+
+
+def _negative_cholesky(hess: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of -hess, or None when -hess is not finite
+    and positive definite."""
+    if not np.all(np.isfinite(hess)):
+        return None
+    try:
+        return np.linalg.cholesky(-hess)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _search(fg, u: np.ndarray, h_inv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """BFGS from u, then the Hessian where it stops.  While the squared
+    Newton decrement under that Hessian is 1 or more (the run stalled more
+    than a standard deviation from the mode), BFGS runs again from there
+    with it and the Hessian is retaken, up to ``_POLISH`` Hessians; a
+    smaller decrement, when not below ``_DECREMENT_TOL``, is polished away
+    under the last Hessian.  Returns the point and the lower Cholesky
+    factor of minus the last Hessian, or None when that is not negative
+    definite."""
+    mode, h_inv = _ascend(fg, u, h_inv)
+    for _ in range(_POLISH):
+        chol = _negative_cholesky(_hessian(fg, mode, 1e-3 * np.sqrt(np.diag(h_inv))))
+        if chol is None:
+            return mode, None
+        c_inv = np.linalg.inv(chol)
+        h_inv = c_inv.T @ c_inv
+        g = fg(mode)[1]
+        decrement = float(g @ h_inv @ g)
+        if decrement < 1.0:
+            if decrement >= _DECREMENT_TOL:
+                mode, _ = _ascend(fg, mode, h_inv)
+            break
+        mode, h_inv = _ascend(fg, mode, h_inv)
+    return mode, chol
+
+
+def laplace_block(like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind) -> LaplaceBlock:
+    """Fit one risk's proposal: its posterior mode and Hessian in the
+    coordinates ``coordinates(like, risk)`` chooses.
+
+    The search (``_search``) starts from zero coefficients, unit variance
+    and mu at the mean log event time (0 without events).  The Hessian
+    where it stops takes its difference steps from the BFGS estimate of
+    the posterior scale.  When that Hessian is not negative definite, the
+    search starts over, preconditioned by the diagonal of the Hessian at
+    the start.  Raises ``InitializationError`` naming the risk when the
+    log posterior is not finite at the start, or when the Hessian where
+    the search stops is still not negative definite.
+    """
+    coords = coordinates(like, risk)
+
+    def fg(u):
+        return _log_target(like, prior, risk, coords, u)
+
+    times = like.event_times(risk)
+    mu0 = float(np.mean(np.log(times))) if times.size else 0.0
+    u = coords.from_model(np.zeros(coords.p), mu0, 0.0)
+    if coords.intercept is not None:
+        # start where the expected event count equals the observed one
+        theta, mu, l = coords.to_model(u)
+        base = like.baseline_parts(risk, LognormalBaseline(float(mu), float(np.exp(l))))
+        lam = float(np.sum(like.coef_parts(risk, theta).seg_weights * base.seg_cumhaz))
+        u[coords.intercept] += math.log(times.size / lam)
+    if not math.isfinite(fg(u)[0]):
+        raise InitializationError(
+            f"{risk.value} risk: the log posterior is not finite at the start of the mode search"
+        )
+    # steps toward overflow come back non-finite and are backed off from
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mode, chol = _search(fg, u, None)
+        if chol is None:
+            # precondition by the curvature along each coordinate at the
+            # start, which puts a covariate in raw units (say, dollars) on
+            # the scale of the others
+            curvature = np.diag(_hessian(fg, u, 1e-5 * (1.0 + np.abs(u))))
+            if np.all(curvature < 0.0) and np.all(np.isfinite(curvature)):
+                mode, chol = _search(fg, u, np.diag(-1.0 / curvature))
+    if chol is None:
+        raise InitializationError(
+            f"{risk.value} risk: the Hessian of the log posterior is not negative definite "
+            "where the mode search stopped"
+        )
+    return LaplaceBlock(risk, coords, mode, chol)
+
+
+def laplace_blocks(like: PortfolioLikelihood, prior: PriorSpec) -> tuple[LaplaceBlock, ...]:
+    """Both risks' proposals, in ``RiskKind`` order."""
+    return tuple(laplace_block(like, prior, risk) for risk in RiskKind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,32 +482,39 @@ class ChainResult:
     chain_id: int
     iterations: np.ndarray  # (n_kept,) 1-based sweep indices
     draws: np.ndarray  # (n_kept, 4 + 2p), columns in ``param_names`` order
-    acceptance: dict[str, float]  # post-burn-in rate per block
-    final_scales: dict[str, float]
+    acceptance: dict[str, float]  # post-burn-in acceptance rate per risk
 
 
-def _initial_state(like: PortfolioLikelihood, prior: PriorSpec) -> ChainState:
-    """Start at zero coefficients, unit variances, and the per-risk log
-    median event time (zero when a risk saw no events)."""
-    p = like.dataset.p
-    baselines = {}
-    for risk in RiskKind:
-        t = like.event_times(risk)
-        mu0 = float(np.log(np.median(t))) if t.size else 0.0
-        baselines[risk] = LognormalBaseline(mu0, 1.0)
-    params = ModelParams(
-        baseline_default=baselines[RiskKind.DEFAULT],
-        baseline_prepay=baselines[RiskKind.PREPAY],
-        theta_default=np.zeros(p),
-        theta_prepay=np.zeros(p),
-    )
-    state = ChainState.from_params(like, params)
-    log_post = state.loglik() + prior.log_density(params)
-    if not math.isfinite(log_post):
-        raise InitializationError(
-            f"initial state has non-finite log-posterior ({log_post})"
-        )
-    return state
+def _draw_columns(risk: RiskKind, p: int) -> np.ndarray:
+    """Where one risk's (mu, sigma2, theta) go in a ``param_names`` row."""
+    k = 0 if risk is RiskKind.DEFAULT else 1
+    return np.concatenate(([2 * k, 2 * k + 1], 4 + k * p + np.arange(p)))
+
+
+def _log_likelihood(like: PortfolioLikelihood, risk: RiskKind, values: np.ndarray) -> float:
+    """One risk's log-likelihood at model values (mu, sigma2, theta)."""
+    coef = like.coef_parts(risk, values[2:])
+    base = like.baseline_parts(risk, LognormalBaseline(float(values[0]), float(values[1])))
+    return PortfolioLikelihood.combine(coef, base)
+
+
+@dataclass
+class _Point:
+    """A chain's current state for one risk."""
+
+    u: np.ndarray
+    values: np.ndarray  # (mu, sigma2, theta)
+    log_post: float  # up to a constant
+    log_q: float  # independence proposal density, up to a constant
+
+
+def _point(like, block, u, values, log_prior, log_q) -> _Point:
+    """The state at one proposal, evaluating the likelihood only where the
+    prior is positive."""
+    log_post = log_prior
+    if log_prior != -math.inf:
+        log_post = _log_likelihood(like, block.risk, values) + float(log_prior)
+    return _Point(u, values, log_post, float(log_q))
 
 
 def run_chain(
@@ -341,60 +522,65 @@ def run_chain(
     prior: PriorSpec,
     config: SamplerConfig,
     chain_id: int,
+    blocks: tuple[LaplaceBlock, ...] | None = None,
 ) -> ChainResult:
     """Run one chain to completion.
 
-    The chain's generator is ``default_rng(SeedSequence(config.seed,
+    ``blocks`` are the per-risk proposals (``laplace_block``); without
+    them the chain fits its own, which gives the same ones.  The chain's
+    generator is ``default_rng(SeedSequence(config.seed,
     spawn_key=(chain_id,)))``, so chains never share a stream and a given
-    (seed, chain_id) pair always reproduces the same draws.
+    (seed, chain_id) pair always reproduces the same draws.  Sweeps
+    ``_CYCLE``, 2 ``_CYCLE``, ... make random-walk proposals, every other
+    sweep an independence proposal; the random numbers of both are drawn
+    for every sweep, ``_CHUNK`` sweeps at a time.
     """
+    blocks = blocks if blocks is not None else laplace_blocks(like, prior)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
-    state = _initial_state(like, prior)
-    tune = {block: TUNING[kind][0] for block, kind, _ in BLOCKS}
-
     p = like.dataset.p
+    cols = [_draw_columns(b.risk, p) for b in blocks]
+    current = []
+    for block in blocks:
+        u = block.independent(rng, 1)
+        current.append(_point(like, block, u[0], *(x[0] for x in block.evaluate(u, prior))))
+
     iterations = np.empty(config.n_kept, dtype=np.int64)
     draws = np.empty((config.n_kept, 4 + 2 * p))
-    accept_counts = dict.fromkeys(tune, 0)
+    accepted = [0] * len(blocks)
     kept = 0
-
-    for sweep in range(1, config.n_iters + 1):
-        accepted = {}
-        # the update functions are looked up by name on every call, so
-        # patching the module attributes (as a tracer does) takes effect
-        for block, kind, risk in BLOCKS:
-            if kind == "theta":
-                state, acc = update_theta(state, risk, like, prior, tune[block], rng)
-            elif kind == "mu":
-                state, acc = update_mu(state, risk, like, prior, tune[block], rng)
-            else:
-                a = math.exp(-tune[block])
-                state, acc = update_sigma2(state, risk, like, prior, a, rng)
-            accepted[block] = acc
-
-        if sweep <= config.burn_in:
-            gamma = sweep**-0.6
-            for block, kind, _ in BLOCKS:
-                _, target, lo, hi = TUNING[kind]
-                step = gamma * ((1.0 if accepted[block] else 0.0) - target)
-                tune[block] = min(max(tune[block] * math.exp(step), lo), hi)
-        else:
-            for block in accept_counts:
-                accept_counts[block] += accepted[block]
-            if (sweep - config.burn_in) % config.thin == 0:
+    sweep = 0
+    while sweep < config.n_iters:
+        n = min(_CHUNK, config.n_iters - sweep)
+        fresh = [block.independent(rng, n) for block in blocks]
+        steps = [block.steps(rng, n) for block in blocks]
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.uniform(size=(n, len(blocks))))
+        evaluated = [block.evaluate(u, prior) for block, u in zip(blocks, fresh)]
+        for i in range(n):
+            sweep += 1
+            walk = sweep % _CYCLE == 0
+            for k, block in enumerate(blocks):
+                cur = current[k]
+                if walk:
+                    u = (cur.u + steps[k][i])[None]
+                    new = _point(like, block, u[0], *(x[0] for x in block.evaluate(u, prior)))
+                    log_ratio = new.log_post - cur.log_post
+                else:
+                    new = _point(like, block, fresh[k][i], *(x[i] for x in evaluated[k]))
+                    log_ratio = (new.log_post - new.log_q) - (cur.log_post - cur.log_q)
+                # NaN (both -inf) rejects
+                if log_u[i, k] < log_ratio:
+                    current[k] = new
+                    accepted[k] += sweep > config.burn_in
+            if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
                 iterations[kept] = sweep
-                d, r = state.default, state.prepay
-                draws[kept, :4] = (d.mu, d.sigma2, r.mu, r.sigma2)
-                draws[kept, 4 : 4 + p] = d.theta
-                draws[kept, 4 + p :] = r.theta
+                for k, cur in enumerate(current):
+                    draws[kept, cols[k]] = cur.values
                 kept += 1
 
     n_post = config.n_iters - config.burn_in
-    acceptance = {b: n / n_post for b, n in accept_counts.items()}
-    final_scales = {
-        b: math.exp(-tune[b]) if kind == "sigma2" else tune[b] for b, kind, _ in BLOCKS
-    }
-    return ChainResult(chain_id, iterations, draws, acceptance, final_scales)
+    acceptance = {b.risk.value: a / n_post for b, a in zip(blocks, accepted)}
+    return ChainResult(chain_id, iterations, draws, acceptance)
 
 
 def param_names(schema) -> list[str]:
@@ -415,8 +601,9 @@ class PosteriorSamples:
     """Pooled kept draws from all chains, in chain-major order.
 
     ``schema`` names the covariate columns, so ``theta_*`` columns line up
-    with the dataset the sampler ran on.  ``acceptance`` and
-    ``final_scales`` map block name to a per-chain array.
+    with the dataset the sampler ran on.  ``acceptance`` maps each risk
+    to its per-chain acceptance rate.  ``final_scales`` is not filled by
+    the sampler; it is accepted so that callers that pass it keep working.
     """
 
     schema: tuple[str, ...]
@@ -429,8 +616,8 @@ class PosteriorSamples:
     sigma2_prepay: np.ndarray
     theta_default: np.ndarray  # (G, p)
     theta_prepay: np.ndarray
-    acceptance: dict[str, np.ndarray]
-    final_scales: dict[str, np.ndarray]
+    acceptance: dict[str, np.ndarray] = field(default_factory=dict)
+    final_scales: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def from_matrix(
@@ -440,7 +627,6 @@ class PosteriorSamples:
         iteration: np.ndarray,
         draws: np.ndarray,
         acceptance: dict[str, np.ndarray] | None = None,
-        final_scales: dict[str, np.ndarray] | None = None,
     ) -> "PosteriorSamples":
         """Split a (G, 4 + 2p) draw matrix in ``param_names`` order into
         fields; the fields are views of ``draws``."""
@@ -457,7 +643,6 @@ class PosteriorSamples:
             theta_default=draws[:, 4 : 4 + p],
             theta_prepay=draws[:, 4 + p :],
             acceptance=acceptance if acceptance is not None else {},
-            final_scales=final_scales if final_scales is not None else {},
         )
 
     @property
@@ -504,21 +689,21 @@ def run_sampler(
     prior: PriorSpec | None = None,
     config: SamplerConfig | None = None,
 ) -> PosteriorSamples:
-    """Run chains 0..C-1 in order on one shared likelihood evaluator and
-    pool their kept draws in chain order."""
+    """Fit each risk's proposal once, run chains 0..C-1 in order on one
+    shared likelihood evaluator, and pool their kept draws in chain order."""
     prior = prior if prior is not None else PriorSpec()
     config = config if config is not None else SamplerConfig()
     like = PortfolioLikelihood(data)
+    blocks = laplace_blocks(like, prior)
     ids = list(range(config.n_chains))
-    results = [run_chain(like, prior, config, cid) for cid in ids]
+    results = [run_chain(like, prior, config, cid, blocks) for cid in ids]
 
     return PosteriorSamples.from_matrix(
         data.schema,
         np.repeat(np.array(ids, dtype=np.int64), config.n_kept),
         np.concatenate([r.iterations for r in results]),
         np.vstack([r.draws for r in results]),
-        acceptance={b: np.array([r.acceptance[b] for r in results]) for b, _, _ in BLOCKS},
-        final_scales={b: np.array([r.final_scales[b] for r in results]) for b, _, _ in BLOCKS},
+        acceptance={b: np.array([r.acceptance[b] for r in results]) for b in results[0].acceptance},
     )
 
 

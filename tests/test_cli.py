@@ -325,6 +325,27 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_fit_without_a_laplace_fit_exits_4_naming_the_risk(sim_outputs, tmp_path, fit_config,
+                                                          capsys):
+    # one covariate cell of 1e200 leaves the default risk's log posterior
+    # with no negative definite Hessian anywhere the search can reach
+    lines = (sim_outputs / "dataset.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[-2] = "1e200"
+    lines[1] = ",".join(cells)
+    dataset = tmp_path / "huge.csv"
+    dataset.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--dataset", str(dataset), "--config", str(fit_config),
+                   "--out-dir", str(tmp_path / "fit")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err == ("error: default risk: the Hessian of the log posterior is not "
+                            "negative definite where the mode search stopped\n")
+    assert not (tmp_path / "fit" / "draws.csv").exists()
+
+
 def test_threads_flag_is_accepted_and_ignored(tmp_path, sim_outputs, fit_config,
                                               capsys):
     a = tmp_path / "plain"
@@ -671,6 +692,32 @@ def test_ingest_non_finite_origination_number_rejects_row_without_warning(tmp_pa
         "origination,6,bad upb: '1e400'",
     ]
     assert len(read_dataset_csv(out / "dataset.csv").loans) == 4
+
+
+def test_ingest_overflowing_field_statistic_exits_4_naming_the_field(tmp_path, capsys):
+    orig = tmp_path / "orig.txt"
+    orig.write_text("\n".join([
+        orow(lid="L0", cs="720", fpd="200501", upb="1.7e308"),
+        orow(lid="L1", cs="680", fpd="200503", upb="1.7e308", dti="38"),
+        orow(lid="L2", cs="750", fpd="200506", rate="6.2", mi="25", units="2"),
+        orow(lid="L3", cs="640", fpd="200502", upb="90000", nb="1"),
+        orow(lid="L4", cs="700", fpd="200502", dti="41"),
+        orow(lid="L5", cs="660", fpd="200504", rate="5.1"),
+    ]) + "\n")
+    perf = tmp_path / "perf.txt"
+    starts = ("200501", "200503", "200506", "200502", "200502", "200504")
+    perf.write_text("\n".join(
+        row for k, start in enumerate(starts)
+        for row in (prow(f"L{k}", start), prow(f"L{k}", "201402"))
+    ) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["ingest", "--origination", str(orig), "--performance", str(perf),
+                   "--out-dir", str(tmp_path / "ing")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err == ("error: field upb cannot be standardized: its mean (inf) or standard "
+                   "deviation (inf) overflows\n")
 
 
 @pytest.mark.parametrize("column, value, kind", [

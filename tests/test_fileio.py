@@ -177,8 +177,7 @@ def test_summary_and_acceptance_files_write(tmp_path, bench_small):
     a = tmp_path / "acceptance.csv"
     write_acceptance_csv(samples, a)
     head = a.read_text().splitlines()[0]
-    assert head == ("chain,theta_default,theta_prepay,mu_default,mu_prepay,"
-                    "sigma2_default,sigma2_prepay")
+    assert head == "chain,default,prepay"  # one independence block per risk
 
 
 def test_fit_config_defaults_and_unknown_keys(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -676,7 +677,7 @@ def test_missing_property_state_excluded_not_built(toy_files):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_standardized_column_that_overflows_names_loan_and_field(toy_files):
+def test_standardized_column_that_overflows_names_the_field(toy_files):
     orig, perf_file = toy_files
     lines = orig.read_text().splitlines()
     for k in (0, 1):
@@ -684,8 +685,11 @@ def test_standardized_column_that_overflows_names_loan_and_field(toy_files):
         cells[10] = "1.7e308"  # finite, but the column's mean overflows
         lines[k] = "|".join(cells)
     orig.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="^loan L001: upb must be finite, got nan$"):
-        ingest_portfolio(orig, perf_file)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestError, match="^field upb cannot be standardized: its mean "
+                                              r"\(inf\) or standard deviation \(inf\) overflows$"):
+            ingest_portfolio(orig, perf_file)
 
 
 def test_reject_threshold_aborts(tmp_path):

@@ -320,3 +320,101 @@ def test_splitting_a_segment_leaves_loglik_unchanged(dataset, data):
     before = PortfolioLikelihood(dataset).total(params)
     after = PortfolioLikelihood(split).total(params)
     assert after == pytest.approx(before, rel=1e-12)
+
+
+# --- gradient in (theta, mu, log sigma2) ----------------------------------------
+
+
+def _point(theta, mu, l):
+    return np.concatenate((np.asarray(theta, dtype=float), (mu, l)))
+
+
+def _numeric_gradient(like, risk, v, h=1e-5):
+    """Central differences of ``risk_loglik`` in (theta, mu, log sigma2)."""
+    p = v.size - 2
+
+    def f(w):
+        return like.risk_loglik(risk, w[:p], LognormalBaseline(w[p], math.exp(w[p + 1])))
+
+    return np.array([(f(v + e) - f(v - e)) / (2.0 * h) for e in h * np.eye(v.size)])
+
+
+def _assert_gradient(like, risk, v, rel=1e-6):
+    p = v.size - 2
+    value, grad = like.risk_loglik_grad(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
+    assert value == like.risk_loglik(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
+    num = _numeric_gradient(like, risk, v)
+    scale = 1.0 + np.abs(num)
+    assert np.all(np.abs(grad - num) <= rel * scale), (grad, num)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    _portfolios(),
+    st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
+    st.floats(-1.0, 3.0),
+    st.floats(-1.5, 1.0),
+)
+def test_gradient_matches_central_differences(dataset, theta, mu, l):
+    like = PortfolioLikelihood(dataset)
+    for risk in RiskKind:
+        _assert_gradient(like, risk, _point(theta, mu, l))
+
+
+@pytest.mark.parametrize("mu", [-14.0, 16.0])
+def test_gradient_in_the_tails(mu):
+    # every time is at z > 8 (mu = -14) or z < -8 (mu = 16), where M(z) is
+    # about z, or about 0
+    dataset = BOOKS["monthly"]
+    like = PortfolioLikelihood(dataset)
+    v = _point([0.3, -0.2], mu, 0.0)
+    z = (np.log(like.event_times(RiskKind.DEFAULT)) - mu) / 1.0
+    assert np.all(z > 8.0) if mu < 0 else np.all(z < -8.0)
+    for risk in RiskKind:
+        _assert_gradient(like, risk, v)
+
+
+def test_gradient_for_a_risk_with_no_events():
+    like = PortfolioLikelihood(BOOKS["no_defaults"])
+    assert like.n_events(RiskKind.DEFAULT) == 0
+    v = _point([0.4, -0.3], 1.0, math.log(0.7))
+    _assert_gradient(like, RiskKind.DEFAULT, v)
+    # without events only the integrated hazard remains, and raising mu
+    # lowers it on every segment (M(z) increases in z)
+    _, grad = like.risk_loglik_grad(RiskKind.DEFAULT, v[:2], LognormalBaseline(1.0, 0.7))
+    assert grad[2] > 0.0
+
+
+def test_gradient_matches_mpmath_at_one_point():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    # covariate boundary at 2.0, the midpoint of the two observations
+    path = CovariatePath(np.array([0.5, 3.5]), np.array([[1.0, -0.7], [1.0, 0.4]]))
+    loans = (
+        LoanObservation("d", LoanStatus.DEFAULTED, 3.25, path),
+        LoanObservation("a", LoanStatus.ACTIVE, 1.5, path),
+    )
+    like = PortfolioLikelihood(Dataset(loans=loans, schema=("c0", "c1")))
+    v = [mpmath.mpf("-0.6"), mpmath.mpf("0.35"), mpmath.mpf("1.2"), mpmath.mpf("-0.4")]
+
+    def loglik(t0, t1, mu, l):
+        sigma = mpmath.exp(l / 2)
+
+        def h0(t):  # -log S0(t) of the lognormal baseline
+            return -mpmath.log(mpmath.ncdf(-(mpmath.log(t) - mu) / sigma))
+
+        def seg(x, lo, hi):
+            return mpmath.exp(t0 * x[0] + t1 * x[1]) * (h0(hi) - (h0(lo) if lo > 0 else 0))
+
+        x0, x1 = (1.0, -0.7), (1.0, 0.4)
+        z = (mpmath.log(3.25) - mu) / sigma
+        log_r = -mpmath.log(sigma * mpmath.sqrt(2 * mpmath.pi) * 3.25) - z * z / 2 + h0(3.25)
+        return (t0 * x1[0] + t1 * x1[1] + log_r
+                - seg(x0, 0, 2.0) - seg(x1, 2.0, 3.25) - seg(x0, 0, 1.5))
+
+    want = [float(mpmath.diff(lambda s, k=k: loglik(*(v[:k] + [s] + v[k + 1:])), v[k]))
+            for k in range(4)]
+    value, grad = like.risk_loglik_grad(
+        RiskKind.DEFAULT, np.array([-0.6, 0.35]), LognormalBaseline(1.2, math.exp(-0.4)))
+    assert value == pytest.approx(float(loglik(*v)), rel=1e-13)
+    np.testing.assert_allclose(grad, want, rtol=1e-11)

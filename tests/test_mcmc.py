@@ -4,116 +4,256 @@ convergence diagnostics, and summary construction."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mortsurv import (
+    BenchmarkConfig,
+    CovariatePath,
     Dataset,
     InitializationError,
     PortfolioLikelihood,
+    PosteriorSamples,
     PriorSpec,
     RiskKind,
     SamplerConfig,
     log_posterior,
+    make_benchmark,
     run_chain,
     run_sampler,
     split_rhat,
     effective_sample_size,
     summarize,
 )
-from mortsurv.mcmc import ChainState, update_mu, update_sigma2, update_theta
+from mortsurv import mcmc
+from mortsurv.mcmc import (
+    PROPOSAL_DF,
+    PROPOSAL_SCALE,
+    Coordinates,
+    _log_target,
+    coordinates,
+    laplace_block,
+)
 
 from conftest import params_small, samples_at
 
 
-def _empty_like(p=2):
-    ds = Dataset(loans=(), schema=tuple(f"c{j}" for j in range(p)))
-    return PortfolioLikelihood(ds)
+def _empty_book(p=2):
+    return Dataset(loans=(), schema=tuple(f"c{j}" for j in range(p)))
 
 
-def _start_state(like, mu=0.0, sigma2=1.0):
-    from mortsurv import LognormalBaseline, ModelParams
-
-    p = like.dataset.p
-    params = ModelParams(
-        baseline_default=LognormalBaseline(mu, sigma2),
-        baseline_prepay=LognormalBaseline(mu, sigma2),
-        theta_default=np.zeros(p),
-        theta_prepay=np.zeros(p),
-    )
-    return ChainState.from_params(like, params)
+def _prior_chains(prior, p=2, n_chains=2, n_iters=3000, seed=0):
+    """Kept draws of the kernel on an empty book, whose posterior is the prior."""
+    config = SamplerConfig(n_chains=n_chains, n_iters=n_iters, burn_in=100, thin=1, seed=seed)
+    return run_sampler(_empty_book(p), prior, config)
 
 
 # --- kernel stationarity: with no data the chain must sample the prior -------
 
 
 def test_mu_kernel_samples_its_prior():
-    like = _empty_like()
-    prior = PriorSpec(mu_sd=3.0)
-    rng = np.random.default_rng(101)
-    state = _start_state(like)
-    draws = np.empty(4000)
-    for i in range(draws.size):
-        state, _ = update_mu(state, RiskKind.DEFAULT, like, prior, 3.0, rng)
-        draws[i] = state.default.mu
+    s = _prior_chains(PriorSpec(mu_sd=3.0), seed=101)
     # thin to kill autocorrelation before the KS test
-    ks = stats.kstest(draws[::8], stats.norm(0.0, 3.0).cdf)
+    ks = stats.kstest(s.mu_default[::4], stats.norm(0.0, 3.0).cdf)
     assert ks.pvalue > 0.01
 
 
 def test_sigma2_kernel_samples_inverse_gamma_prior():
-    like = _empty_like()
-    prior = PriorSpec(sigma2_shape=5.0, sigma2_rate=8.0)
-    rng = np.random.default_rng(7)
-    state = _start_state(like, sigma2=2.0)
-    draws = np.empty(6000)
-    for i in range(draws.size):
-        state, _ = update_sigma2(state, RiskKind.PREPAY, like, prior, 0.5, rng)
-        draws[i] = state.prepay.sigma2
-    ks = stats.kstest(draws[::10], stats.invgamma(a=5.0, scale=8.0).cdf)
+    s = _prior_chains(PriorSpec(sigma2_shape=5.0, sigma2_rate=8.0), seed=7)
+    ks = stats.kstest(s.sigma2_prepay[::4], stats.invgamma(a=5.0, scale=8.0).cdf)
     assert ks.pvalue > 0.01
 
 
 def test_theta_kernel_samples_its_prior_marginal():
-    like = _empty_like(p=2)
-    prior = PriorSpec(theta_sd=2.0)
-    rng = np.random.default_rng(17)
-    state = _start_state(like)
-    draws = np.empty((3000, 2))
-    for i in range(draws.shape[0]):
-        state, _ = update_theta(state, RiskKind.DEFAULT, like, prior, 1.5, rng)
-        draws[i] = state.default.theta
-    ks0 = stats.kstest(draws[::8, 0], stats.norm(0.0, 2.0).cdf)
-    ks1 = stats.kstest(draws[::8, 1], stats.norm(0.0, 2.0).cdf)
+    s = _prior_chains(PriorSpec(theta_sd=2.0), seed=17)
+    ks0 = stats.kstest(s.theta_default[::4, 0], stats.norm(0.0, 2.0).cdf)
+    ks1 = stats.kstest(s.theta_default[::4, 1], stats.norm(0.0, 2.0).cdf)
     assert ks0.pvalue > 0.01
     assert ks1.pvalue > 0.01
 
 
-def test_tiny_steps_accept_huge_steps_reject():
-    like = _empty_like()
-    prior = PriorSpec(mu_sd=1.0)
-    rng = np.random.default_rng(3)
-    state = _start_state(like)
-    acc_tiny = sum(update_mu(state, RiskKind.DEFAULT, like, prior, 1e-8, rng)[1]
-                   for _ in range(200))
-    acc_huge = 0
-    for _ in range(200):
-        state, ok = update_mu(state, RiskKind.DEFAULT, like, prior, 1e6, rng)
-        acc_huge += ok
-    assert acc_tiny == 200
-    assert acc_huge < 20
-
-
 def test_sigma2_updates_stay_positive():
-    like = _empty_like()
+    # the default InverseGamma(2, 2) has a heavy right tail and proposals
+    # in log sigma2 reach far into both tails
+    s = _prior_chains(PriorSpec(), n_iters=1000, seed=9)
+    for col in (s.sigma2_default, s.sigma2_prepay):
+        assert np.all(np.isfinite(col)) and np.all(col > 0.0)
+
+
+def test_empty_book_kernel_reproduces_prior_moments():
+    prior = PriorSpec(theta_sd=2.0, mu_sd=3.0, sigma2_shape=20.0, sigma2_rate=38.0)
+    s = _prior_chains(prior, p=3, n_chains=4, n_iters=4000, seed=5)
+    want = {"mu": (0.0, 9.0), "sigma2": (2.0, 38.0**2 / (19.0**2 * 18.0)), "theta": (0.0, 4.0)}
+    x = s.matrix()
+    for j, row in enumerate(summarize(s)):
+        mean, var = want[row.name.split("_")[0]]
+        assert abs(row.mean - mean) < 4.0 * row.mcse, row
+        assert float(np.var(x[:, j])) == pytest.approx(var, rel=0.12), row
+        assert row.rhat < 1.02, row
+    # both risks use plain coordinates on an empty book
+    like = PortfolioLikelihood(_empty_book(3))
+    assert all(coordinates(like, risk).intercept is None for risk in RiskKind)
+
+
+# --- coordinates ----------------------------------------------------------------
+
+
+COORDS = {"plain": Coordinates(3), "reparameterised": Coordinates(3, intercept=1, m=1.7)}
+
+
+def _to_constrained(coords, u):
+    """(theta, mu, sigma2), the parameters the prior is stated on."""
+    theta, mu, l = coords.to_model(u)
+    return np.concatenate((theta, (mu, math.exp(l))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(COORDS)),
+       st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
+def test_coordinate_map_round_trips(name, u):
+    coords = COORDS[name]
+    u = np.asarray(u)
+    theta, mu, l = coords.to_model(u)
+    np.testing.assert_allclose(coords.from_model(theta, mu, l), u, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(COORDS))
+@pytest.mark.parametrize("l", [-1.3, 0.0, 0.8])
+def test_log_jacobian_matches_numerical_determinant(name, l):
+    coords = COORDS[name]
+    u = np.array([0.4, -0.9, 0.25, 0.6, l])
+    h = 1e-6
+    jac = np.column_stack([
+        (_to_constrained(coords, u + e) - _to_constrained(coords, u - e)) / (2.0 * h)
+        for e in h * np.eye(u.size)
+    ])
+    _, logdet = np.linalg.slogdet(jac)
+    want = 2.0 * l if name == "reparameterised" else l
+    assert float(coords.log_jacobian(u)) == pytest.approx(want, abs=1e-15)
+    assert logdet == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(COORDS))
+def test_log_target_gradient_matches_central_differences(bench_small, name):
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
+    prior = PriorSpec(theta_sd=3.0, sigma2_shape=3.0)
+    coords = Coordinates(dataset.p, intercept=0, m=2.5) if name == "reparameterised" \
+        else Coordinates(dataset.p)
+    u = coords.from_model(np.array([-0.5, 0.3, -0.2, 0.1]), 2.3, math.log(0.8))
+    for risk in RiskKind:
+        _, grad = _log_target(like, prior, risk, coords, u)
+        h = 1e-6
+        num = [(_log_target(like, prior, risk, coords, u + e)[0]
+                - _log_target(like, prior, risk, coords, u - e)[0]) / (2.0 * h)
+               for e in h * np.eye(u.size)]
+        np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
+
+
+# --- the Laplace fit --------------------------------------------------------------
+
+
+def test_laplace_fit_stops_at_a_stationary_point(bench_small):
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
     prior = PriorSpec()
-    rng = np.random.default_rng(9)
-    state = _start_state(like, sigma2=0.01)
-    for _ in range(500):
-        state, _ = update_sigma2(state, RiskKind.DEFAULT, like, prior, 0.2, rng)
-        assert state.default.sigma2 > 0
+    for risk in RiskKind:
+        block = laplace_block(like, prior, risk)
+        assert block.coords.intercept == 0
+        assert block.coords.m == pytest.approx(np.mean(np.log(like.event_times(risk))))
+        _, grad = _log_target(like, prior, risk, block.coords, block.mode)
+        cov = block.root @ block.root.T
+        # the squared Newton decrement: the mode is within 0.01 standard deviations
+        assert float(grad @ cov @ grad) < 1e-4
+
+
+def test_mode_search_start_not_finite_names_the_risk(bench_small, monkeypatch):
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
+
+    def broken(self, risk, theta, baseline):
+        return math.nan, np.zeros(theta.size + 2)
+
+    monkeypatch.setattr(PortfolioLikelihood, "risk_loglik_grad", broken)
+    with pytest.raises(InitializationError, match="default risk: the log posterior is not finite"):
+        laplace_block(like, PriorSpec(), RiskKind.DEFAULT)
+
+
+def test_hessian_not_negative_definite_names_the_risk(bench_small, monkeypatch):
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
+    monkeypatch.setattr(mcmc, "_hessian", lambda fg, u, h: np.eye(u.size))
+    with pytest.raises(InitializationError, match="prepay risk: the Hessian"):
+        laplace_block(like, PriorSpec(), RiskKind.PREPAY)
+
+
+def test_independence_proposal_density_is_the_multivariate_t(bench_small):
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
+    block = laplace_block(like, PriorSpec(), RiskKind.PREPAY)
+    u = block.independent(np.random.default_rng(4), 6)
+    _, _, log_q = block.evaluate(u, PriorSpec())
+    root = PROPOSAL_SCALE * block.root
+    want = stats.multivariate_t(loc=block.mode, shape=root @ root.T, df=PROPOSAL_DF).logpdf(u)
+    np.testing.assert_allclose(log_q - log_q[0], want - want[0], rtol=1e-9, atol=1e-9)
+
+
+def test_covariate_in_raw_units_gets_the_rescaled_laplace_fit(bench_small):
+    # x1 in units 1e5 times smaller: the first BFGS run stalls, the search
+    # starts over preconditioned, and the fit is the standardized one rescaled
+    dataset, _ = bench_small
+    scale = np.array([1.0, 1e5, 1.0, 1.0])
+    loans = tuple(
+        replace(loan, covariates=CovariatePath(loan.covariates.obs_times,
+                                               loan.covariates.values * scale))
+        for loan in dataset.loans
+    )
+    raw = PortfolioLikelihood(replace(dataset, loans=loans))
+    like = PortfolioLikelihood(dataset)
+    prior = PriorSpec(theta_sd=1e6)  # nearly flat, so rescaling leaves the posterior alone
+    unscale = np.concatenate((1.0 / scale, (1.0, 1.0)))
+    for risk in RiskKind:
+        want, got = laplace_block(like, prior, risk), laplace_block(raw, prior, risk)
+        sd = np.sqrt(np.diag(want.root @ want.root.T)) * unscale
+        # both searches stop within about 0.01 posterior sd of the mode
+        assert np.all(np.abs(got.mode - want.mode * unscale) < 0.05 * sd)
+        np.testing.assert_allclose(np.sqrt(np.diag(got.root @ got.root.T)), sd, rtol=0.02)
+
+
+def test_reparameterised_and_plain_kernels_sample_one_posterior(monkeypatch):
+    # the two coordinate systems must target the same posterior; with the
+    # log-Jacobian l in place of 2l the reparameterised means of mu, sigma2
+    # and the intercept move by 5 to 8 standard errors
+    params = params_small(2)
+    dataset, _ = make_benchmark(BenchmarkConfig(n_loans=400, true_params=params,
+                                                n_covariates=1, seed=3))
+    like = PortfolioLikelihood(dataset)
+    prior = PriorSpec(theta_sd=2.0, mu_sd=2.0, sigma2_shape=4.0, sigma2_rate=3.0)
+    config = SamplerConfig(n_chains=4, n_iters=3000, burn_in=200, thin=1, seed=11)
+    risk = RiskKind.DEFAULT
+    assert like.n_events(risk) == 32
+    other = laplace_block(like, prior, RiskKind.PREPAY)
+    rows = {}
+    for plain in (True, False):
+        if plain:
+            monkeypatch.setattr(mcmc, "coordinates", lambda like, risk: Coordinates(like.dataset.p))
+        else:
+            monkeypatch.undo()
+        block = laplace_block(like, prior, risk)
+        chains = [run_chain(like, prior, config, c, (block, other)) for c in range(4)]
+        samples = PosteriorSamples.from_matrix(
+            dataset.schema, np.repeat(np.arange(4), config.n_kept),
+            np.concatenate([r.iterations for r in chains]), np.vstack([r.draws for r in chains]))
+        rows[block.coords.intercept] = {r.name: r for r in summarize(samples)}
+    assert set(rows) == {None, 0}  # plain, and reparameterised on the intercept
+    for name in ("mu_default", "sigma2_default", "theta_default:intercept"):
+        a, b = rows[None][name], rows[0][name]
+        assert abs(a.mean - b.mean) < 4.0 * math.hypot(a.mcse, b.mcse), (a, b)
 
 
 # --- full chains --------------------------------------------------------------
@@ -161,11 +301,10 @@ def test_run_sampler_shapes_and_labels(bench_small):
     assert s.theta_default.shape == (2 * kept, dataset.p)
     assert set(np.unique(s.chain)) == {0, 1}
     assert s.schema == dataset.schema
-    assert set(s.acceptance) == {
-        "theta_default", "theta_prepay", "mu_default",
-        "mu_prepay", "sigma2_default", "sigma2_prepay",
-    }
+    # one independence block per risk
+    assert list(s.acceptance) == ["default", "prepay"]
     assert all(a.shape == (2,) for a in s.acceptance.values())
+    assert all(np.all((0.0 <= a) & (a <= 1.0)) for a in s.acceptance.values())
 
 
 def test_chain_moves_toward_higher_posterior_than_start(bench_small):
@@ -183,17 +322,6 @@ def test_chain_moves_toward_higher_posterior_than_start(bench_small):
         theta_prepay=np.zeros(dataset.p),
     )
     assert lp_end > log_posterior(dataset, start, prior)
-
-
-def test_adaptation_moves_acceptance_toward_targets(bench_small):
-    # per-chain rates wobble (short chains, multiplicative sigma2 kernel), so
-    # check the across-chain mean per block against its tuning target
-    dataset, _ = bench_small
-    config = SamplerConfig(n_chains=2, n_iters=3000, burn_in=1500, thin=5, seed=8)
-    s = run_sampler(dataset, config=config)
-    for block, rates in s.acceptance.items():
-        target = 0.25 if block.startswith("theta") else 0.4
-        assert abs(float(np.mean(rates)) - target) < 0.12, (block, rates)
 
 
 def test_initialization_error_is_a_value_error():
