@@ -7,8 +7,9 @@ integrals.  Within one risk it factors further into a coefficient part
 (terms depending on theta) and a baseline part (terms depending on mu,
 sigma2), joined by a single weighted sum over covariate-constant segments.
 The sampler evaluates each proposal as one ``coef_parts`` plus one
-``baseline_parts``; ``risk_loglik_grad`` adds the gradient in (theta, mu,
-log sigma2) for the sampler's mode search, from the same log-survival pass.
+``baseline_parts``; ``risk_loglik_derivs`` adds the gradient and Hessian in
+(theta, mu, log sigma2) for the sampler's mode search, from the same
+log-survival pass.
 
 The baseline part costs one normal log-survival evaluation per distinct
 positive segment boundary time, not per segment: each segment's
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sps
 
 from .model import (
     Dataset,
@@ -46,7 +48,7 @@ from .model import (
 
 __all__ = ["PortfolioLikelihood", "loan_loglik", "total_loglik"]
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,8 @@ class PortfolioLikelihood:
 
     def _baseline_pass(
         self, risk: RiskKind, baseline: LognormalBaseline
-    ) -> tuple[BaselineParts, np.ndarray, np.ndarray]:
-        """``baseline_parts`` with the z and log S0 of every distinct time."""
+    ) -> tuple[BaselineParts, np.ndarray]:
+        """``baseline_parts`` with the z of every distinct time."""
         z = (self._log_times - baseline.mu) / baseline.sigma
         log_surv = log_normal_survival(z)
         cumhaz = self._per_segment(-log_surv)
@@ -170,7 +172,7 @@ class PortfolioLikelihood:
         if idx.size:
             log_r = _lognormal_log_pdf(self._log_times, z, baseline) - log_surv
             logr_sum = float(np.sum(log_r[idx]))
-        return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz), z, log_surv
+        return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz), z
 
     def _per_segment(self, at_times: np.ndarray) -> np.ndarray:
         """Each segment's increment of a function of time given at the
@@ -191,37 +193,57 @@ class PortfolioLikelihood:
             lam = math.inf
         return coef.event_eta_sum + base.event_logr_sum - lam
 
-    def risk_loglik_grad(
+    def risk_loglik_derivs(
         self, risk: RiskKind, theta: np.ndarray, baseline: LognormalBaseline
-    ) -> tuple[float, np.ndarray]:
-        """One risk's log-likelihood and its gradient in (theta, mu, log sigma2).
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """One risk's log-likelihood with its gradient and Hessian in
+        (theta, mu, log sigma2).
 
-        The gradient reuses the log-survival pass of ``baseline_parts``.
-        With M(z) = phi(z) / S0(z), the inverse Mills ratio, dH0/dz = M
-        and d log r/dz = M - z, while dz/dmu = -1/sigma and
-        dz/dlog sigma2 = -z/2, so
+        The derivatives reuse the z of the log-survival pass of
+        ``baseline_parts``.  With M(z) = phi(z) / S0(z), the inverse Mills
+        ratio, H0 = -log S0 has dH0/dz = M and d2H0/dz2 = M' = M (M - z),
+        while dz/dmu = -1/sigma and dz/dlog sigma2 = -z/2.  That gives the
+        first and second derivatives of H0 in (mu, log sigma2) at every
+        distinct time; each segment takes its increment of them, weighted by
+        exp(theta' x), and each event its value, plus those of
+        -z**2/2 - log(sigma2)/2 in the log hazard.  In theta, the gradient is
+        the summed event covariates minus ``seg_x' (weights * cumhaz)`` and
+        the Hessian block is ``-seg_x' diag(weights * cumhaz) seg_x``.
 
-        - theta: the summed event covariates minus ``seg_x' (weights * cumhaz)``;
-        - mu: (sum over events of (z - M) + weights @ per-segment dM) / sigma;
-        - log sigma2: (sum over events of z(z - M), minus the event count,
-          plus weights @ per-segment d(zM)) / 2.
-
-        The value equals ``risk_loglik``.  The gradient holds non-finite
-        entries where the value is -inf through overflow.
+        The value equals ``risk_loglik``.  The gradient and Hessian hold
+        non-finite entries where the value is -inf through overflow, and the
+        Hessian alone can overflow where the covariates are huge.
         """
         coef = self.coef_parts(risk, theta)
-        base, z, log_surv = self._baseline_pass(risk, baseline)
+        base, z = self._baseline_pass(risk, baseline)
         ll = self.combine(coef, base)
+        sigma, w, idx = baseline.sigma, coef.seg_weights, self._event_idx[risk]
+        p = self._seg_x.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            mills = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_surv)
-            w = coef.seg_weights
-            g_theta = self._event_x[risk].sum(axis=0) - self._seg_x.T @ (w * base.seg_cumhaz)
-            d_mu, d_l = self._per_segment(np.stack((mills, z * mills))) @ w
-        idx = self._event_idx[risk]
-        z_e, m_e = z[idx], mills[idx]
-        g_mu = (float(np.sum(z_e - m_e)) + d_mu) / baseline.sigma
-        g_l = 0.5 * (float(np.sum(z_e * (z_e - m_e))) - idx.size + d_l)
-        return ll, np.concatenate((g_theta, (g_mu, g_l)))
+            # phi(z) / S0(z) = sqrt(2/pi) / erfcx(z/sqrt(2)), which keeps M - z
+            # accurate far into the upper tail, where phi and S0 both underflow
+            mills = _SQRT_2_OVER_PI / sps.erfcx(z / math.sqrt(2.0))
+            slope = mills * (mills - z)  # M'
+            curve = z * slope + mills
+            # per distinct time: dH0/dmu, dH0/dl, d2H0/dmu2, d2H0/dmu dl, d2H0/dl2
+            h0 = np.stack((-mills / sigma, -0.5 * z * mills,
+                           slope / sigma**2, 0.5 * curve / sigma, 0.25 * z * curve))
+            z_e = z[idx]
+            # per event, the same of the log hazard -z**2/2 - l/2 + H0 + const
+            log_r = h0[:, idx] + np.array((
+                z_e / sigma, 0.5 * (z_e * z_e - 1.0), np.full(idx.size, -1.0 / sigma**2),
+                -z_e / sigma, -0.5 * z_e * z_e,
+            ))
+            seg = self._per_segment(h0) * w
+            g_mu, g_l, h_mumu, h_mul, h_ll = log_r.sum(axis=1) - seg.sum(axis=1)
+            wh = w * base.seg_cumhaz
+            g_theta = self._event_x[risk].sum(axis=0) - self._seg_x.T @ wh
+            hess = np.empty((p + 2, p + 2))
+            hess[:p, :p] = -(self._seg_x.T * wh) @ self._seg_x
+            hess[:p, p:] = -self._seg_x.T @ seg[:2].T
+            hess[p:, :p] = hess[:p, p:].T
+            hess[p:, p:] = ((h_mumu, h_mul), (h_mul, h_ll))
+        return ll, np.concatenate((g_theta, (g_mu, g_l))), hess
 
     def unit_column(self) -> int | None:
         """The first design column that is 1 on every segment (an intercept),

@@ -2,14 +2,14 @@
 
 The posterior factors over the two risks, so each risk is one block of
 its coefficients, log-time location and log-time variance.  Once per fit,
-``laplace_block`` finds the block's posterior mode by BFGS on the analytic
-gradient (``PortfolioLikelihood.risk_loglik_grad``) and takes the Hessian
-there from central differences of that gradient.  Every sweep then makes
-one proposal per risk.  Two sweeps in three draw it from a fixed
-multivariate t around the mode, with ``PROPOSAL_DF`` degrees of freedom
-and scale ``PROPOSAL_SCALE`` times a square root of the Laplace
-covariance (the inverse negative Hessian), and accept it with the
-independence-sampler ratio (Tierney 1994).  Every ``_CYCLE``-th sweep
+``laplace_block`` finds the block's posterior mode by a damped Newton
+search on the analytic gradient and Hessian
+(``PortfolioLikelihood.risk_loglik_derivs``), which also gives the Hessian
+at the mode.  Every sweep then makes one proposal per risk.  Two sweeps
+in three draw it from a fixed multivariate t around the mode, with
+``PROPOSAL_DF`` degrees of freedom and scale ``PROPOSAL_SCALE`` times a
+square root of the Laplace covariance (the inverse negative Hessian), and
+accept it with the independence-sampler ratio (Tierney 1994).  Every ``_CYCLE``-th sweep
 instead proposes a random-walk step with covariance (``RW_SCALE``**2 / d)
 times the Laplace covariance (Roberts & Rosenthal 2001): where the
 posterior has a heavier or more skewed tail than the t, an independence
@@ -72,12 +72,14 @@ _CYCLE = 3
 RW_SCALE = 2.38
 # proposals are drawn this many sweeps at a time
 _CHUNK = 1024
-# mode search: BFGS steps per run, the squared Newton decrement (squared
-# distance to the mode in posterior standard deviations) at which a run
-# stops, and how many Hessians it may take to get below it
+# mode search: Newton steps at most, and the squared Newton decrement
+# (squared distance to the mode in posterior standard deviations) at which
+# it stops
 _MAX_STEPS = 200
 _DECREMENT_TOL = 1e-4
-_POLISH = 3
+# a Newton step solves with minus the Hessian H plus lam |diag H|, for the
+# first lam of these that makes it positive definite
+_SHIFTS = np.concatenate(([0.0], 10.0 ** np.arange(-3.0, 13.0)))
 
 
 class InitializationError(ValueError):
@@ -127,12 +129,16 @@ class PriorSpec:
             - self.sigma2_rate * np.exp(-l)
         )
 
-    def risk_log_density_grad(self, theta: np.ndarray, mu: float, l: float) -> np.ndarray:
-        """Gradient of ``risk_log_density`` in (theta, mu, l)."""
-        return np.concatenate((
-            -theta / self.theta_sd**2,
-            (-mu / self.mu_sd**2, self.sigma2_rate * math.exp(-l) - self.sigma2_shape - 1.0),
-        ))
+    def risk_log_density_derivs(
+        self, theta: np.ndarray, mu: float, l: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian diagonal (the Hessian is diagonal) of
+        ``risk_log_density`` in (theta, mu, l); infinite, not raising, where
+        exp(-l) overflows."""
+        tail = self.sigma2_rate * np.exp(-l)
+        t, m = self.theta_sd**-2, self.mu_sd**-2
+        grad = np.concatenate((-t * theta, (-m * mu, tail - self.sigma2_shape - 1.0)))
+        return grad, np.concatenate((np.full(theta.size, -t), (-m, -tail)))
 
 
 def _log_normal_sum(x: np.ndarray, sd: float) -> float:
@@ -233,18 +239,16 @@ class Coordinates:
     def log_jacobian(self, u):
         return self.jacobian_power * np.asarray(u, dtype=float)[..., self.p + 1]
 
-    def pull_back(self, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Gradient in u of a function whose gradient in (theta, mu, l) at
-        ``to_model(u)`` is ``grad`` (the chain rule; no Jacobian term)."""
-        if self.intercept is None:
-            return grad
-        p, j = self.p, self.intercept
-        b, s2 = u[p], math.exp(u[p + 1])
-        g_int, g_mu, g_l = grad[j], grad[p], grad[p + 1]
-        out = grad.copy()
-        out[p] = (g_int * b + g_mu) * s2
-        out[p + 1] = g_l + (0.5 * g_int * b * b + g_mu * b) * s2
-        return out
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """The derivative of ``to_model`` at one u: row i holds the
+        derivatives of (theta, mu, l)[i] in u."""
+        jac = np.eye(self.p + 2)
+        if self.intercept is not None:
+            p, j = self.p, self.intercept
+            b, s2 = u[p], math.exp(u[p + 1])
+            jac[j, p:] = b * s2, 0.5 * b * b * s2
+            jac[p, p:] = s2, b * s2
+        return jac
 
 
 def coordinates(like: PortfolioLikelihood, risk: RiskKind) -> Coordinates:
@@ -314,74 +318,28 @@ class LaplaceBlock:
 
 
 def _log_target(
-    like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind, coords: Coordinates,
-    u: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Log posterior density of one risk's block in coordinates u, up to a
-    constant, and its gradient in u; (-inf, NaN) where it is not finite."""
-    failed = -math.inf, np.full(u.size, math.nan)
+    like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind, power: float, x: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log posterior density of one risk's block at model values
+    x = (theta, mu, l), plus ``power`` * l, up to a constant, with its
+    gradient and Hessian in x; (-inf, NaN, NaN) where the value or the
+    gradient is not finite.  The Hessian may be non-finite on its own."""
+    d = x.size
+    failed = -math.inf, np.full(d, math.nan), np.full((d, d), math.nan)
+    theta, mu, l = x[:-2], float(x[-2]), float(x[-1])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        theta, mu, l = coords.to_model(u)
         s2 = float(np.exp(l))
-    if not (np.all(np.isfinite(theta)) and math.isfinite(mu) and 0.0 < s2 < math.inf):
-        return failed
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ll, grad = like.risk_loglik_grad(risk, theta, LognormalBaseline(float(mu), s2))
-        value = ll + float(prior.risk_log_density(theta, mu, l)) + float(coords.log_jacobian(u))
-        grad = coords.pull_back(u, grad + prior.risk_log_density_grad(theta, mu, l))
-    grad[-1] += coords.jacobian_power
+        if not (np.all(np.isfinite(x)) and 0.0 < s2 < math.inf):
+            return failed
+        ll, grad, hess = like.risk_loglik_derivs(risk, theta, LognormalBaseline(mu, s2))
+        prior_grad, prior_diag = prior.risk_log_density_derivs(theta, mu, l)
+        value = ll + float(prior.risk_log_density(theta, mu, l)) + power * l
+        grad = grad + prior_grad
+        grad[-1] += power
+        hess[np.diag_indices(d)] += prior_diag
     if not (math.isfinite(value) and np.all(np.isfinite(grad))):
         return failed
-    return value, grad
-
-
-def _ascend(fg, u: np.ndarray, h_inv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """BFGS ascent of ``fg`` (value and gradient) from u, starting from the
-    inverse negative Hessian estimate ``h_inv`` (steepest ascent when None).
-    The backtracking line search also backs off from non-finite points.
-    Stops when the squared Newton decrement falls below ``_DECREMENT_TOL``,
-    when no step improves, or after ``_MAX_STEPS`` steps; returns the last
-    point and estimate."""
-    f, g = fg(u)
-    eye = np.eye(u.size)
-    rescale = h_inv is None  # rescale the identity at the first update
-    if h_inv is None:
-        h_inv = eye / max(1.0, float(np.linalg.norm(g)))
-    for _ in range(_MAX_STEPS):
-        step = h_inv @ g
-        slope = float(g @ step)
-        if not slope >= _DECREMENT_TOL:
-            break
-        t = 1.0
-        while True:
-            u_new = u + t * step
-            f_new, g_new = fg(u_new)
-            if f_new >= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-            if t < 1e-10:
-                return u, h_inv
-        s, y = u_new - u, g - g_new
-        sy = float(s @ y)
-        if sy > 0.0:
-            if rescale:
-                h_inv, rescale = (sy / float(y @ y)) * eye, False
-            v = eye - np.outer(s, y) / sy
-            h_inv = v @ h_inv @ v.T + np.outer(s, s) / sy
-        u, f, g = u_new, f_new, g_new
-    return u, h_inv
-
-
-def _hessian(fg, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Symmetrized central differences, with steps h, of the gradient of
-    ``fg`` at u."""
-    d = u.size
-    hess = np.empty((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h[k]
-        hess[:, k] = (fg(u + e)[1] - fg(u - e)[1]) / (2.0 * h[k])
-    return 0.5 * (hess + hess.T)
+    return value, grad, hess
 
 
 def _negative_cholesky(hess: np.ndarray) -> np.ndarray | None:
@@ -395,79 +353,88 @@ def _negative_cholesky(hess: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _search(fg, u: np.ndarray, h_inv: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """BFGS from u, then the Hessian where it stops.  While the squared
-    Newton decrement under that Hessian is 1 or more (the run stalled more
-    than a standard deviation from the mode), BFGS runs again from there
-    with it and the Hessian is retaken, up to ``_POLISH`` Hessians; a
-    smaller decrement, when not below ``_DECREMENT_TOL``, is polished away
-    under the last Hessian.  Returns the point and the lower Cholesky
-    factor of minus the last Hessian, or None when that is not negative
-    definite."""
-    mode, h_inv = _ascend(fg, u, h_inv)
-    for _ in range(_POLISH):
-        chol = _negative_cholesky(_hessian(fg, mode, 1e-3 * np.sqrt(np.diag(h_inv))))
-        if chol is None:
-            return mode, None
-        c_inv = np.linalg.inv(chol)
-        h_inv = c_inv.T @ c_inv
-        g = fg(mode)[1]
-        decrement = float(g @ h_inv @ g)
-        if decrement < 1.0:
-            if decrement >= _DECREMENT_TOL:
-                mode, _ = _ascend(fg, mode, h_inv)
+def _newton(target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton ascent of ``target`` (value, gradient, Hessian) from x.
+
+    Where minus the Hessian H is not positive definite, the step adds
+    lam |diag H| to it for the first lam in ``_SHIFTS`` that makes it so:
+    a shift in proportion to each coordinate's own curvature keeps the step
+    free of units, where lam I stalls on a covariate in raw units (say,
+    dollars).  The backtracking line search halves the step until the
+    target rises enough, backing off from points where it is not finite
+    too.  Stops when the squared Newton decrement under the unshifted
+    Hessian falls below ``_DECREMENT_TOL``, when no shift works (a
+    non-finite Hessian), when no step short enough to leave x unchanged
+    improves, or after ``_MAX_STEPS`` steps; returns the last point and its
+    Hessian.
+    """
+    value, grad, hess = target(x)
+    for _ in range(_MAX_STEPS):
+        scale = np.diag(np.abs(np.diag(hess)))
+        for lam in _SHIFTS:
+            chol = _negative_cholesky(hess - lam * scale)
+            if chol is not None:
+                break
+        else:
             break
-        mode, h_inv = _ascend(fg, mode, h_inv)
-    return mode, chol
+        y = np.linalg.solve(chol, grad)
+        slope = float(y @ y)  # the squared Newton decrement, when lam is 0
+        if lam == 0.0 and slope < _DECREMENT_TOL:
+            break
+        step = np.linalg.solve(chol.T, y)
+        t = 1.0
+        while True:
+            x_new = x + t * step
+            if np.array_equal(x_new, x):
+                return x, hess
+            new = target(x_new)
+            if new[0] >= value + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        x, (value, grad, hess) = x_new, new
+    return x, hess
 
 
 def laplace_block(like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind) -> LaplaceBlock:
     """Fit one risk's proposal: its posterior mode and Hessian in the
     coordinates ``coordinates(like, risk)`` chooses.
 
-    The search (``_search``) starts from zero coefficients, unit variance
-    and mu at the mean log event time (0 without events).  The Hessian
-    where it stops takes its difference steps from the BFGS estimate of
-    the posterior scale.  When that Hessian is not negative definite, the
-    search starts over, preconditioned by the diagonal of the Hessian at
-    the start.  Raises ``InitializationError`` naming the risk when the
-    log posterior is not finite at the start, or when the Hessian where
-    the search stops is still not negative definite.
+    The search (``_newton``) runs on the model values (theta, mu, l) with
+    the log-Jacobian of those coordinates, from zero coefficients, unit
+    variance and mu at the mean log event time (0 without events).  The
+    coordinates are a smooth one-to-one map of the model values, so the
+    mode maps to the mode and the Hessian there to J' H J, with J the
+    derivative of ``Coordinates.to_model``.  Raises ``InitializationError``
+    naming the risk when the log posterior is not finite at the start, or
+    when the Hessian where the search stops is not negative definite.
     """
     coords = coordinates(like, risk)
 
-    def fg(u):
-        return _log_target(like, prior, risk, coords, u)
+    def target(x):
+        return _log_target(like, prior, risk, coords.jacobian_power, x)
 
     times = like.event_times(risk)
     mu0 = float(np.mean(np.log(times))) if times.size else 0.0
-    u = coords.from_model(np.zeros(coords.p), mu0, 0.0)
-    if coords.intercept is not None:
-        # start where the expected event count equals the observed one
-        theta, mu, l = coords.to_model(u)
-        base = like.baseline_parts(risk, LognormalBaseline(float(mu), float(np.exp(l))))
-        lam = float(np.sum(like.coef_parts(risk, theta).seg_weights * base.seg_cumhaz))
-        u[coords.intercept] += math.log(times.size / lam)
-    if not math.isfinite(fg(u)[0]):
+    x = np.concatenate((np.zeros(coords.p), (mu0, 0.0)))
+    if not math.isfinite(target(x)[0]):
         raise InitializationError(
             f"{risk.value} risk: the log posterior is not finite at the start of the mode search"
         )
-    # steps toward overflow come back non-finite and are backed off from
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mode, chol = _search(fg, u, None)
-        if chol is None:
-            # precondition by the curvature along each coordinate at the
-            # start, which puts a covariate in raw units (say, dollars) on
-            # the scale of the others
-            curvature = np.diag(_hessian(fg, u, 1e-5 * (1.0 + np.abs(u))))
-            if np.all(curvature < 0.0) and np.all(np.isfinite(curvature)):
-                mode, chol = _search(fg, u, np.diag(-1.0 / curvature))
+    # a Hessian that overflows ends the search, and is not negative definite
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, hess = _newton(target, x)
+        chol = _negative_cholesky(hess)
     if chol is None:
         raise InitializationError(
             f"{risk.value} risk: the Hessian of the log posterior is not negative definite "
             "where the mode search stopped"
         )
-    return LaplaceBlock(risk, coords, mode, chol)
+    mode = coords.from_model(x[:-2], x[-2], x[-1])
+    # -J'HJ = (C'J)'(C'J), so the R of a QR of C'J is the Cholesky factor in
+    # u up to signs; forming J'HJ instead loses definiteness when J is
+    # ill-conditioned (sigma2 far below 1)
+    r = np.linalg.qr(chol.T @ coords.jacobian(mode), mode="r")
+    return LaplaceBlock(risk, coords, mode, r.T * np.sign(np.diag(r)))
 
 
 def laplace_blocks(like: PortfolioLikelihood, prior: PriorSpec) -> tuple[LaplaceBlock, ...]:

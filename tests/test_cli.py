@@ -7,12 +7,17 @@ stay simple; the console entry point is the same function.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mortsurv
 from mortsurv import CovariatePath, Dataset, LoanObservation, LoanStatus, RiskKind
 from mortsurv.cli import main
 from mortsurv.fileio import (
@@ -344,6 +349,50 @@ def test_fit_without_a_laplace_fit_exits_4_naming_the_risk(sim_outputs, tmp_path
     assert captured.err == ("error: default risk: the Hessian of the log posterior is not "
                             "negative definite where the mode search stopped\n")
     assert not (tmp_path / "fit" / "draws.csv").exists()
+
+
+@pytest.mark.parametrize("cell", ["1e8", "1e12"])
+def test_fit_with_a_huge_covariate_cell_fits(sim_outputs, tmp_path, fit_config, capsys, cell):
+    # the Newton search scales each step by the curvature along each
+    # coordinate, so one cell this far out of scale still has a mode
+    lines = (sim_outputs / "dataset.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[-2] = cell
+    lines[1] = ",".join(cells)
+    dataset = tmp_path / "huge.csv"
+    dataset.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--dataset", str(dataset), "--config", str(fit_config),
+                   "--allow-nonconverged", "--out-dir", str(tmp_path / "fit")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "fit" / "draws.csv").exists()
+
+
+def test_fit_prior_only_with_a_tiny_variance_rate_exits_0(sim_outputs, tmp_path, capsys):
+    # the prior mode of l = log sigma2 is near -11.5; a search step toward
+    # l in (-745, -709.8), where exp(l) is still positive but exp(-l)
+    # overflows, must come back as -inf, not as an OverflowError
+    config = tmp_path / "prior.json"
+    config.write_text(json.dumps({
+        "prior": {"sigma2_shape": 0.1, "sigma2_rate": 1e-6},
+        "sampler": {"n_chains": 2, "n_iters": 200, "burn_in": 100, "thin": 1, "seed": 1},
+    }))
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"), "--config", str(config),
+               "--prior-only", "--allow-nonconverged", "--out-dir", str(tmp_path / "prior")])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_importing_the_cli_leaves_out_scipy_optimize_and_linalg():
+    # importing scipy.optimize alone takes most of a second
+    code = ("import sys, mortsurv.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    src = str(Path(mortsurv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 def test_threads_flag_is_accepted_and_ignored(tmp_path, sim_outputs, fit_config,

@@ -322,7 +322,7 @@ def test_splitting_a_segment_leaves_loglik_unchanged(dataset, data):
     assert after == pytest.approx(before, rel=1e-12)
 
 
-# --- gradient in (theta, mu, log sigma2) ----------------------------------------
+# --- gradient and Hessian in (theta, mu, log sigma2) ----------------------------
 
 
 def _point(theta, mu, l):
@@ -339,13 +339,24 @@ def _numeric_gradient(like, risk, v, h=1e-5):
     return np.array([(f(v + e) - f(v - e)) / (2.0 * h) for e in h * np.eye(v.size)])
 
 
-def _assert_gradient(like, risk, v, rel=1e-6):
+def _derivs(like, risk, v):
     p = v.size - 2
-    value, grad = like.risk_loglik_grad(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
+    return like.risk_loglik_derivs(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
+
+
+def _assert_gradient(like, risk, v, rel=1e-6, h=1e-5):
+    """The value, the gradient against central differences of the value,
+    and the Hessian against central differences of the gradient."""
+    p = v.size - 2
+    value, grad, hess = _derivs(like, risk, v)
     assert value == like.risk_loglik(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
-    num = _numeric_gradient(like, risk, v)
-    scale = 1.0 + np.abs(num)
-    assert np.all(np.abs(grad - num) <= rel * scale), (grad, num)
+    num = _numeric_gradient(like, risk, v, h)
+    assert np.all(np.abs(grad - num) <= rel * (1.0 + np.abs(num))), (grad, num)
+    num = np.column_stack([
+        (_derivs(like, risk, v + e)[1] - _derivs(like, risk, v - e)[1]) / (2.0 * h)
+        for e in h * np.eye(v.size)
+    ])
+    assert np.all(np.abs(hess - num) <= rel * (1.0 + np.abs(num))), (hess, num)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -381,7 +392,7 @@ def test_gradient_for_a_risk_with_no_events():
     _assert_gradient(like, RiskKind.DEFAULT, v)
     # without events only the integrated hazard remains, and raising mu
     # lowers it on every segment (M(z) increases in z)
-    _, grad = like.risk_loglik_grad(RiskKind.DEFAULT, v[:2], LognormalBaseline(1.0, 0.7))
+    _, grad, _ = _derivs(like, RiskKind.DEFAULT, v)
     assert grad[2] > 0.0
 
 
@@ -412,9 +423,13 @@ def test_gradient_matches_mpmath_at_one_point():
         return (t0 * x1[0] + t1 * x1[1] + log_r
                 - seg(x0, 0, 2.0) - seg(x1, 2.0, 3.25) - seg(x0, 0, 1.5))
 
-    want = [float(mpmath.diff(lambda s, k=k: loglik(*(v[:k] + [s] + v[k + 1:])), v[k]))
-            for k in range(4)]
-    value, grad = like.risk_loglik_grad(
-        RiskKind.DEFAULT, np.array([-0.6, 0.35]), LognormalBaseline(1.2, math.exp(-0.4)))
+    def partial(*orders):
+        return float(mpmath.diff(loglik, v, orders))
+
+    eye = np.eye(4, dtype=int)
+    want_grad = [partial(*eye[k]) for k in range(4)]
+    want_hess = [[partial(*(eye[j] + eye[k])) for k in range(4)] for j in range(4)]
+    value, grad, hess = _derivs(like, RiskKind.DEFAULT, np.array([-0.6, 0.35, 1.2, -0.4]))
     assert value == pytest.approx(float(loglik(*v)), rel=1e-13)
-    np.testing.assert_allclose(grad, want, rtol=1e-11)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-11)
+    np.testing.assert_allclose(hess, want_hess, rtol=1e-11)

@@ -17,6 +17,7 @@ from mortsurv import (
     CovariatePath,
     Dataset,
     InitializationError,
+    LognormalBaseline,
     PortfolioLikelihood,
     PosteriorSamples,
     PriorSpec,
@@ -35,7 +36,6 @@ from mortsurv.mcmc import (
     PROPOSAL_DF,
     PROPOSAL_SCALE,
     Coordinates,
-    _log_target,
     coordinates,
     laplace_block,
 )
@@ -122,37 +122,24 @@ def test_coordinate_map_round_trips(name, u):
     np.testing.assert_allclose(coords.from_model(theta, mu, l), u, rtol=1e-12, atol=1e-12)
 
 
+def _differences(f, u, h=1e-6):
+    """Central differences of a vector function, one column per coordinate of u."""
+    return np.column_stack([(f(u + e) - f(u - e)) / (2.0 * h) for e in h * np.eye(u.size)])
+
+
 @pytest.mark.parametrize("name", sorted(COORDS))
 @pytest.mark.parametrize("l", [-1.3, 0.0, 0.8])
 def test_log_jacobian_matches_numerical_determinant(name, l):
     coords = COORDS[name]
     u = np.array([0.4, -0.9, 0.25, 0.6, l])
-    h = 1e-6
-    jac = np.column_stack([
-        (_to_constrained(coords, u + e) - _to_constrained(coords, u - e)) / (2.0 * h)
-        for e in h * np.eye(u.size)
-    ])
-    _, logdet = np.linalg.slogdet(jac)
+    _, logdet = np.linalg.slogdet(_differences(lambda w: _to_constrained(coords, w), u))
     want = 2.0 * l if name == "reparameterised" else l
     assert float(coords.log_jacobian(u)) == pytest.approx(want, abs=1e-15)
     assert logdet == pytest.approx(want, abs=1e-8)
-
-
-@pytest.mark.parametrize("name", sorted(COORDS))
-def test_log_target_gradient_matches_central_differences(bench_small, name):
-    dataset, _ = bench_small
-    like = PortfolioLikelihood(dataset)
-    prior = PriorSpec(theta_sd=3.0, sigma2_shape=3.0)
-    coords = Coordinates(dataset.p, intercept=0, m=2.5) if name == "reparameterised" \
-        else Coordinates(dataset.p)
-    u = coords.from_model(np.array([-0.5, 0.3, -0.2, 0.1]), 2.3, math.log(0.8))
-    for risk in RiskKind:
-        _, grad = _log_target(like, prior, risk, coords, u)
-        h = 1e-6
-        num = [(_log_target(like, prior, risk, coords, u + e)[0]
-                - _log_target(like, prior, risk, coords, u - e)[0]) / (2.0 * h)
-               for e in h * np.eye(u.size)]
-        np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
+    # the derivative of to_model, which carries the Hessian from the model
+    # values to u
+    jac = _differences(lambda w: np.hstack(coords.to_model(w)), u)
+    np.testing.assert_allclose(coords.jacobian(u), jac, rtol=1e-8, atol=1e-9)
 
 
 # --- the Laplace fit --------------------------------------------------------------
@@ -166,10 +153,45 @@ def test_laplace_fit_stops_at_a_stationary_point(bench_small):
         block = laplace_block(like, prior, risk)
         assert block.coords.intercept == 0
         assert block.coords.m == pytest.approx(np.mean(np.log(like.event_times(risk))))
-        _, grad = _log_target(like, prior, risk, block.coords, block.mode)
-        cov = block.root @ block.root.T
+        f = _log_target_in_u(like, prior, risk, block.coords)
+        # differences along the columns of the root R, h posterior sd long:
+        # the gradient and Hessian of f(mode + R v) in v at 0, which are R'g
+        # and R'HR, and should be 0 and -I when chol chol' = -H at the mode
+        h = 1e-3
+        steps = h * block.root.T
+        grad = np.array([f(block.mode + e) - f(block.mode - e) for e in steps]) / (2.0 * h)
+        hess = np.array([[f(block.mode + e + g) - f(block.mode + e - g)
+                          - f(block.mode - e + g) + f(block.mode - e - g) for g in steps]
+                         for e in steps]) / (4.0 * h * h)
         # the squared Newton decrement: the mode is within 0.01 standard deviations
-        assert float(grad @ cov @ grad) < 1e-4
+        assert float(grad @ grad) < 1e-4
+        # J'HJ leaves out the gradient times the curvature of to_model, a
+        # term of the order of that distance
+        np.testing.assert_allclose(-hess, np.eye(grad.size), atol=0.03)
+
+
+def _log_target_in_u(like, prior, risk, coords):
+    """One risk's log posterior density in the sampling coordinates u, up
+    to a constant."""
+    def f(u):
+        theta, mu, l = coords.to_model(u)
+        baseline = LognormalBaseline(float(mu), math.exp(l))
+        log_prior = float(prior.risk_log_density(theta, mu, l) + coords.log_jacobian(u))
+        return like.risk_loglik(risk, theta, baseline) + log_prior
+
+    return f
+
+
+def test_target_where_exp_of_minus_l_overflows_is_minus_inf(bench_small):
+    # at l = -720, exp(l) is a positive subnormal, so sigma2 passes as
+    # positive, while the prior's exp(-l) overflows
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
+    x = np.concatenate((np.zeros(dataset.p), (2.0, -720.0)))
+    for risk in RiskKind:
+        value, grad, _ = mcmc._log_target(like, PriorSpec(), risk, 2.0, x)
+        assert value == -math.inf
+        assert np.all(np.isnan(grad))
 
 
 def test_mode_search_start_not_finite_names_the_risk(bench_small, monkeypatch):
@@ -177,9 +199,9 @@ def test_mode_search_start_not_finite_names_the_risk(bench_small, monkeypatch):
     like = PortfolioLikelihood(dataset)
 
     def broken(self, risk, theta, baseline):
-        return math.nan, np.zeros(theta.size + 2)
+        return math.nan, np.zeros(theta.size + 2), -np.eye(theta.size + 2)
 
-    monkeypatch.setattr(PortfolioLikelihood, "risk_loglik_grad", broken)
+    monkeypatch.setattr(PortfolioLikelihood, "risk_loglik_derivs", broken)
     with pytest.raises(InitializationError, match="default risk: the log posterior is not finite"):
         laplace_block(like, PriorSpec(), RiskKind.DEFAULT)
 
@@ -187,7 +209,13 @@ def test_mode_search_start_not_finite_names_the_risk(bench_small, monkeypatch):
 def test_hessian_not_negative_definite_names_the_risk(bench_small, monkeypatch):
     dataset, _ = bench_small
     like = PortfolioLikelihood(dataset)
-    monkeypatch.setattr(mcmc, "_hessian", lambda fg, u, h: np.eye(u.size))
+    derivs = PortfolioLikelihood.risk_loglik_derivs
+
+    def convex(self, risk, theta, baseline):
+        value, grad, _ = derivs(self, risk, theta, baseline)
+        return value, grad, np.eye(grad.size) * 1e6
+
+    monkeypatch.setattr(PortfolioLikelihood, "risk_loglik_derivs", convex)
     with pytest.raises(InitializationError, match="prepay risk: the Hessian"):
         laplace_block(like, PriorSpec(), RiskKind.PREPAY)
 
@@ -204,8 +232,8 @@ def test_independence_proposal_density_is_the_multivariate_t(bench_small):
 
 
 def test_covariate_in_raw_units_gets_the_rescaled_laplace_fit(bench_small):
-    # x1 in units 1e5 times smaller: the first BFGS run stalls, the search
-    # starts over preconditioned, and the fit is the standardized one rescaled
+    # x1 in units 1e5 times smaller: the Newton search is unit-free, so the
+    # fit is the standardized one rescaled
     dataset, _ = bench_small
     scale = np.array([1.0, 1e5, 1.0, 1.0])
     loans = tuple(
