@@ -62,6 +62,7 @@ def _checked(parse, ok, what: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _month(text: str) -> int:
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--draws", required=True, help="draws CSV from fit")
     p.add_argument("--n-sims", type=_positive_int, default=10_000, help="simulations per loan")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--curves", action="store_true", help="also write per-loan curve files")
     p.add_argument("--grid-points", type=_positive_int, default=120)
     common(p)
@@ -332,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="residuals and interval coverage for terminated loans")
     p.add_argument("--dataset", required=True)
     p.add_argument("--draws", required=True)
-    p.add_argument("--level", type=float, default=0.95, help="central interval level")
+    p.add_argument("--level", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                   default=0.95, help="central interval level")
     common(p)
     p.set_defaults(func=cmd_diagnose)
 

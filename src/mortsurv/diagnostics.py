@@ -165,6 +165,11 @@ class LoanDiagnostics:
     in_interval: bool
 
 
+def _check_level(level: float) -> None:
+    if not (0.0 <= level <= 1.0):
+        raise ValueError(f"level must be in [0, 1], got {level}")
+
+
 def loan_diagnostics(
     loan: LoanObservation, samples: PosteriorSamples, level: float = 0.95
 ) -> LoanDiagnostics:
@@ -174,8 +179,7 @@ def loan_diagnostics(
     with reliability (1+level)/2 and (1-level)/2; interval endpoints are
     capped at the horizon (10x maturity) like every predictive draw.
     """
-    if not (0.0 <= level <= 1.0):
-        raise ValueError(f"level must be in [0, 1], got {level}")
+    _check_level(level)
     curves = RiskCurves(loan.covariates, samples, _own_risk(loan))
     grid = _MixtureGrid(curves, DEFAULT_HORIZON_FACTOR * loan.maturity)
     m = grid.moments()
@@ -223,6 +227,7 @@ def coverage_report(
     level 0 the interval degenerates to a point and essentially nothing
     is.
     """
+    _check_level(level)
     rows = []
     tallies = {LoanStatus.DEFAULTED: [0, 0], LoanStatus.PREPAID: [0, 0]}
     for loan in loans:

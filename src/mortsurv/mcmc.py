@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import PortfolioLikelihood
+from .likelihood import PortfolioLikelihood, total_loglik
 from .model import Dataset, LognormalBaseline, ModelParams, RiskKind
 
 __all__ = [
@@ -110,13 +110,17 @@ class PriorSpec:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
     def log_density(self, params: ModelParams) -> float:
-        """Log prior density at ``params`` (normalizing constants included)."""
+        """Log prior density at ``params``: ``risk_log_density`` of both
+        risks at l = log sigma2, plus the normalizing constants."""
+        const = (
+            self.sigma2_shape * math.log(self.sigma2_rate) - math.lgamma(self.sigma2_shape)
+            - 0.5 * params.p * math.log(2.0 * math.pi * self.theta_sd**2)
+            - 0.5 * math.log(2.0 * math.pi * self.mu_sd**2)
+        )
         out = 0.0
-        for theta in (params.theta_default, params.theta_prepay):
-            out += _log_normal_sum(theta, self.theta_sd)
-        for b in (params.baseline_default, params.baseline_prepay):
-            out += _log_normal_sum(np.array([b.mu]), self.mu_sd)
-            out += _log_invgamma(b.sigma2, self.sigma2_shape, self.sigma2_rate)
+        for risk in RiskKind:
+            theta, b = params.theta(risk), params.baseline(risk)
+            out += const + float(self.risk_log_density(theta, b.mu, math.log(b.sigma2)))
         return out
 
     def risk_log_density(self, theta, mu, l):
@@ -139,21 +143,6 @@ class PriorSpec:
         t, m = self.theta_sd**-2, self.mu_sd**-2
         grad = np.concatenate((-t * theta, (-m * mu, tail - self.sigma2_shape - 1.0)))
         return grad, np.concatenate((np.full(theta.size, -t), (-m, -tail)))
-
-
-def _log_normal_sum(x: np.ndarray, sd: float) -> float:
-    return float(
-        -0.5 * x.size * math.log(2.0 * math.pi * sd * sd) - np.sum(x * x) / (2.0 * sd * sd)
-    )
-
-
-def _log_invgamma(x: float, shape: float, rate: float) -> float:
-    return (
-        shape * math.log(rate)
-        - math.lgamma(shape)
-        - (shape + 1.0) * math.log(x)
-        - rate / x
-    )
 
 
 @dataclass(frozen=True)
@@ -181,6 +170,8 @@ class SamplerConfig:
             raise ValueError("thin must be at least 1")
         if self.n_kept == 0:
             raise ValueError("run shape keeps no draws; lengthen n_iters or lower thin")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def n_kept(self) -> int:
@@ -190,8 +181,6 @@ class SamplerConfig:
 
 def log_posterior(data: Dataset, params: ModelParams, prior: PriorSpec) -> float:
     """Unnormalized log-posterior: exact log-likelihood plus log-prior."""
-    from .likelihood import total_loglik
-
     return total_loglik(data, params) + prior.log_density(params)
 
 
@@ -203,7 +192,9 @@ class Coordinates:
     the log-Jacobian to (theta, mu, sigma2) is l.  With ``intercept`` = j,
     u[j] = a, u[p] = b and u[p + 1] = l, where sigma2 = exp(l),
     mu = m + b sigma2 and theta[j] = a + b**2 sigma2 / 2; the other
-    coefficients are unchanged and the log-Jacobian is 2l.
+    coefficients are unchanged and the log-Jacobian is 2l.  ``m`` is the
+    risk's mean log event time (0 without events) for both kinds, and the
+    mode search starts mu there.
     """
 
     p: int
@@ -253,13 +244,12 @@ class Coordinates:
 
 def coordinates(like: PortfolioLikelihood, risk: RiskKind) -> Coordinates:
     """Reparameterised coordinates when the design has an intercept column
-    and the risk has events, else plain."""
-    p = like.dataset.p
+    and the risk has events, else plain; either way with m the mean log
+    event time (0 without events)."""
     times = like.event_times(risk)
-    j = like.unit_column()
-    if j is None or not times.size:
-        return Coordinates(p)
-    return Coordinates(p, j, float(np.mean(np.log(times))))
+    m = float(np.mean(np.log(times))) if times.size else 0.0
+    j = like.unit_column() if times.size else None
+    return Coordinates(like.dataset.p, j, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,9 +403,7 @@ def laplace_block(like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind) -
     def target(x):
         return _log_target(like, prior, risk, coords.jacobian_power, x)
 
-    times = like.event_times(risk)
-    mu0 = float(np.mean(np.log(times))) if times.size else 0.0
-    x = np.concatenate((np.zeros(coords.p), (mu0, 0.0)))
+    x = np.concatenate((np.zeros(coords.p), (coords.m, 0.0)))
     if not math.isfinite(target(x)[0]):
         raise InitializationError(
             f"{risk.value} risk: the log posterior is not finite at the start of the mode search"
@@ -458,13 +446,6 @@ def _draw_columns(risk: RiskKind, p: int) -> np.ndarray:
     return np.concatenate(([2 * k, 2 * k + 1], 4 + k * p + np.arange(p)))
 
 
-def _log_likelihood(like: PortfolioLikelihood, risk: RiskKind, values: np.ndarray) -> float:
-    """One risk's log-likelihood at model values (mu, sigma2, theta)."""
-    coef = like.coef_parts(risk, values[2:])
-    base = like.baseline_parts(risk, LognormalBaseline(float(values[0]), float(values[1])))
-    return PortfolioLikelihood.combine(coef, base)
-
-
 @dataclass
 class _Point:
     """A chain's current state for one risk."""
@@ -480,7 +461,8 @@ def _point(like, block, u, values, log_prior, log_q) -> _Point:
     prior is positive."""
     log_post = log_prior
     if log_prior != -math.inf:
-        log_post = _log_likelihood(like, block.risk, values) + float(log_prior)
+        baseline = LognormalBaseline(float(values[0]), float(values[1]))
+        log_post = like.risk_loglik(block.risk, values[2:], baseline) + float(log_prior)
     return _Point(u, values, log_post, float(log_q))
 
 

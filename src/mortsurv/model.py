@@ -159,8 +159,8 @@ class CovariatePath:
     boundaries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        times = np.array(self.obs_times, dtype=float, copy=True)
-        vals = np.array(self.values, dtype=float, copy=True)
+        times = np.asarray(self.obs_times, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("obs_times must be a nonempty one-dimensional array")
         if vals.ndim == 1 and times.size == 1:
@@ -169,19 +169,16 @@ class CovariatePath:
             raise ValueError(
                 f"values must have shape (m, p) with m = {times.size}, got {vals.shape}"
             )
-        if not np.all(np.isfinite(times)) or times[0] <= 0.0:
-            raise ValueError("obs_times must be finite and positive")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("obs_times must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("covariate values must be finite")
-        bounds = np.empty(times.size + 1)
-        bounds[0] = 0.0
-        bounds[1:-1] = 0.5 * (times[:-1] + times[1:])
-        bounds[-1] = np.inf
-        for arr, name in ((times, "obs_times"), (vals, "values"), (bounds, "boundaries")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        names = tuple(f"values column {j}" for j in range(vals.shape[1]))
+        (path,) = self._from_columns(times, vals, [0], names, lambda row: f"row {row}")
+        for name in ("obs_times", "values", "boundaries"):
+            object.__setattr__(self, name, getattr(path, name))
+
+    def interval(self, t):
+        """For each positive t (scalar or array), the j with boundaries[j] <
+        t <= boundaries[j + 1]: ``values[j]`` is in force at t, and a t
+        exactly on an interior boundary belongs to the earlier interval."""
+        return np.searchsorted(self.boundaries, t, side="left") - 1
 
     @property
     def m(self) -> int:
@@ -201,17 +198,18 @@ class CovariatePath:
     def _from_columns(
         cls, obs_times, values, starts, names: tuple[str, ...], where
     ) -> list["CovariatePath"]:
-        """Paths of many loans from flat columns, each column checked once.
+        """Paths of many loans from flat columns, each column checked once;
+        every path is built here, the constructor's included.
 
         Loan k owns rows ``starts[k]`` up to ``starts[k + 1]`` (or the end)
         of ``obs_times`` (N,) and ``values`` (N, p); ``starts`` begins at 0
-        and is strictly increasing.  The checks are those of the
-        constructor: a non-finite value, a time not finite and positive, or
-        a time not above the one before it in its loan raises ValueError
-        for the first such row, prefixed by ``where(row)`` and naming the
-        column (``obs_time`` or ``names[j]``).  Each path's arrays are
-        read-only views of one copy of the columns, bit for bit what the
-        constructor would store.
+        and is strictly increasing.  A non-finite value, a time not finite
+        and positive, or a time not above the one before it in its loan
+        raises ValueError for the first such row, prefixed by ``where(row)``
+        and naming the column (``obs_time`` or ``names[j]``) and the value.
+        Each path's boundaries are 0, the midpoints between its consecutive
+        times, then inf; its arrays are read-only views of one copy of the
+        columns.
         """
         times = np.array(obs_times, dtype=float)
         vals = np.array(values, dtype=float).reshape(times.size, len(names))
@@ -414,15 +412,12 @@ def baseline_cumhaz(t_a: float, t_b: float, baseline: LognormalBaseline) -> floa
 
 
 def covariate_at(path: CovariatePath, t: float) -> np.ndarray:
-    """Covariate vector in force at time t > 0.
-
-    Looks up the interval (s_{j-1}, s_j] containing t; a t exactly on an
-    interior boundary resolves to the earlier observation.
-    """
+    """Covariate vector in force at time t > 0, from ``path.interval(t)``
+    (a t exactly on an interior boundary resolves to the earlier
+    observation)."""
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
-    j = int(np.searchsorted(path.boundaries, t, side="left"))
-    return path.values[j - 1]
+    return path.values[path.interval(t)]
 
 
 def cumulative_hazard(

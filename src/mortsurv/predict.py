@@ -94,7 +94,7 @@ class RiskCurves:
         integrated baseline at the times (``h0``, reused when given)."""
         if h0 is None:
             h0 = self._h0(times)
-        j = np.searchsorted(self._bounds, times, side="left") - 1
+        j = self.path.interval(times)
         return -(self._spent[:, j] + self._spend(h0 - self._h0_start[:, j], j))
 
     def reliability(self, times) -> np.ndarray:
@@ -125,7 +125,7 @@ class RiskCurves:
                 f"baseline has shape {h0.shape}, grid needs {(self.n_draws, times.size)}"
             )
         log_s = self._log_survival(times, h0)
-        eta_at_t = self._etas[:, np.searchsorted(self._bounds, times, side="left") - 1]
+        eta_at_t = self._etas[:, self.path.interval(times)]
         with np.errstate(over="ignore"):
             density = np.exp(log_rate + eta_at_t + log_s).mean(axis=0)
         return np.exp(log_s).mean(axis=0), density

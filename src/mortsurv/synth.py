@@ -133,6 +133,8 @@ class BenchmarkConfig:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
         if self.censor_time is not None and not (self.censor_time > 0.0):
             raise ValueError(f"censor_time must be positive, got {self.censor_time}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.true_params.p != self.n_covariates + 1:
             raise ValueError(
                 f"true_params has dimension {self.true_params.p}, "
@@ -163,29 +165,25 @@ def make_benchmark(config: BenchmarkConfig) -> tuple[Dataset, TruthRecord]:
     spawn_key=(i,)))`` for its covariates and both event uniforms, so any
     subset of loans can be regenerated independently.
     """
-    loans = []
-    k = config.n_covariates
-    width = max(6, len(str(config.n_loans - 1)))
-    for i in range(config.n_loans):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
-        x = np.empty(k + 1)
-        x[0] = 1.0
+    k, n = config.n_covariates, config.n_loans
+    width = max(6, len(str(n - 1)))
+    ids = [f"S{i:0{width}d}" for i in range(n)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
+            for i in range(n)]
+    x = np.empty((n, k + 1))
+    x[:, 0] = 1.0
+    for row, rng in zip(x, rngs):
         if k > 1:
-            x[1:k] = rng.standard_normal(k - 1)
-        x[k] = float(rng.integers(0, 2))
-        path = CovariatePath.constant(x)
-        draw = simulate_loan(
-            config.true_params, path, config.maturity, rng, config.censor_time
-        )
-        loans.append(
-            LoanObservation(
-                loan_id=f"S{i:0{width}d}",
-                status=draw.status,
-                time=draw.time,
-                covariates=path,
-                maturity=config.maturity,
-            )
-        )
+            row[1:k] = rng.standard_normal(k - 1)
+        row[k] = float(rng.integers(0, 2))
+    # one observation per loan at obs_time 1.0, as CovariatePath.constant
+    paths = CovariatePath._from_columns(
+        np.ones(n), x, np.arange(n), config.schema, lambda row: f"loan {ids[row]}"
+    )
+    loans = []
+    for loan_id, path, rng in zip(ids, paths, rngs):
+        draw = simulate_loan(config.true_params, path, config.maturity, rng, config.censor_time)
+        loans.append(LoanObservation(loan_id, draw.status, draw.time, path, config.maturity))
     dataset = Dataset(loans=tuple(loans), schema=config.schema)
     truth = TruthRecord(
         params=config.true_params,

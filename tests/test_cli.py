@@ -607,17 +607,45 @@ def test_simulate_config_wrongly_typed_value_exits_4(tmp_path, sim_config, capsy
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--grid-points", "--n-sims"])
-def test_predict_count_flags_must_be_positive(sim_outputs, tmp_path, capsys, flag):
+@pytest.mark.parametrize("command, flag, value, need", [
+    ("predict", "--grid-points", "0", "a positive integer, got 0"),
+    ("predict", "--n-sims", "0", "a positive integer, got 0"),
+    ("predict", "--seed", "-1", "a non-negative integer, got -1"),
+    ("diagnose", "--level", "1.5", "in [0, 1], got 1.5"),
+    ("diagnose", "--level", "nan", "in [0, 1], got nan"),
+], ids=["--grid-points", "--n-sims", "--seed", "--level-1.5", "--level-nan"])
+def test_predict_count_flags_must_be_positive(sim_outputs, tmp_path, capsys,
+                                              command, flag, value, need):
     out = tmp_path / "pred"
     with pytest.raises(SystemExit) as exc:
-        main(["predict", "--dataset", str(sim_outputs / "dataset.csv"),
-              "--draws", str(sim_outputs / "draws.csv"), "--curves",
-              flag, "0", "--out-dir", str(out)])
+        main([command, "--dataset", str(sim_outputs / "dataset.csv"),
+              "--draws", str(sim_outputs / "draws.csv"),
+              flag, value, "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert f"argument {flag}: must be a positive integer, got 0" in err
+    assert f"argument {flag}: must be {need}" in err
     assert not out.exists()  # rejected before any output is opened
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_config_negative_seed_exits_4_naming_seed(sim_outputs, sim_config, tmp_path, capsys,
+                                                  command):
+    if command == "simulate":
+        cfg = json.loads(sim_config.read_text())
+        cfg["seed"] = -3
+        argv = ["simulate"]
+    else:
+        cfg = {"sampler": {"n_chains": 2, "n_iters": 80, "burn_in": 40, "thin": 4, "seed": -3}}
+        argv = ["fit", "--dataset", str(sim_outputs / "dataset.csv")]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", str(bad), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "seed must be a non-negative integer, got -3" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _edit_cell(src, dst, line_no, column, value):

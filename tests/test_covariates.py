@@ -48,12 +48,17 @@ def test_covariate_boundary_tie_goes_to_earlier_interval(two_interval_path):
 
 
 def test_path_requires_strictly_increasing_positive_times():
-    with pytest.raises(ValueError):
+    increasing = r"^row 1: obs_time must be strictly increasing within a loan, got "
+    with pytest.raises(ValueError, match=increasing + r"1\.0 after 1\.0$"):
         CovariatePath(np.array([1.0, 1.0]), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=increasing + r"1\.0 after 2\.0$"):
         CovariatePath(np.array([2.0, 1.0]), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row 0: obs_time must be finite and positive, got 0\.0$"):
         CovariatePath(np.array([0.0]), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=r"^row 1: obs_time must be finite and positive, got inf$"):
+        CovariatePath(np.array([1.0, np.inf]), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=r"^row 1: values column 2 must be finite, got nan$"):
+        CovariatePath(np.array([1.0, 2.0]), [[0.0, 1.0, 2.0], [3.0, 4.0, np.nan]])
 
 
 def test_path_requires_matching_row_count():

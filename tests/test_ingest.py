@@ -43,6 +43,9 @@ from mortsurv.ingest import (
     read_origination_file,
     read_performance_file,
 )
+from mortsurv.synth import BenchmarkConfig, make_benchmark
+
+from conftest import params_small
 
 
 def orow(cs="720", fpd="200501", ftb="N", mi="0", units="1", occ="O", cltv="80",
@@ -705,28 +708,54 @@ def test_reject_threshold_aborts(tmp_path):
                          config=IngestConfig(max_reject_fraction=0.1))
 
 
+def _reference_layout(obs_times, values) -> dict[str, np.ndarray]:
+    """A path's arrays as the checked constructor stored them before every
+    path went through the bulk builder: its checks, then boundaries 0, the
+    midpoints between consecutive times, and inf."""
+    times = np.array(obs_times, dtype=float, copy=True)
+    vals = np.array(values, dtype=float, copy=True).reshape(times.size, -1)
+    assert times.ndim == 1 and times.size > 0
+    assert np.all(np.isfinite(times)) and times[0] > 0.0
+    assert np.all(np.diff(times) > 0.0)
+    assert np.all(np.isfinite(vals))
+    bounds = np.empty(times.size + 1)
+    bounds[0] = 0.0
+    bounds[1:-1] = 0.5 * (times[:-1] + times[1:])
+    bounds[-1] = np.inf
+    return {"obs_times": times, "values": vals, "boundaries": bounds}
+
+
 def test_bulk_built_paths_are_read_only_and_bitwise_checked(toy_files, tmp_path):
     orig, perf_file = toy_files
     result = ingest_portfolio(orig, perf_file)
     by_id = {r.loan_id: r for r in read_origination_file(orig, load_default_schema())[0]}
     design = build_design([by_id[loan.loan_id] for loan in result.dataset.loans],
                           result.preprocess)
+    steps = {
+        "s1": ([0.25, 1.0, 1.75, 4.0], [[0.1, -2.0], [0.3, 1e-300], [-0.0, 5.0], [7.0, 0.5]]),
+        "c1": ([1.0], [[1.5, -0.25]]),
+        "s2": ([0.5, 0.5000000000000001], [[1.0, 2.0], [3.0, 4.0]]),
+    }
     step = Dataset(loans=(
-        LoanObservation("s1", LoanStatus.PREPAID, 2.5, CovariatePath(
-            [0.25, 1.0, 1.75, 4.0], [[0.1, -2.0], [0.3, 1e-300], [-0.0, 5.0], [7.0, 0.5]])),
+        LoanObservation("s1", LoanStatus.PREPAID, 2.5, CovariatePath(*steps["s1"])),
         LoanObservation("c1", LoanStatus.ACTIVE, 3.0, CovariatePath.constant([1.5, -0.25])),
-        LoanObservation("s2", LoanStatus.DEFAULTED, 0.5, CovariatePath(
-            [0.5, 0.5000000000000001], [[1.0, 2.0], [3.0, 4.0]])),
+        LoanObservation("s2", LoanStatus.DEFAULTED, 0.5, CovariatePath(*steps["s2"])),
     ), schema=("a", "b"))
     write_dataset_csv(step, tmp_path / "step.csv")
-    pairs = [(loan.covariates, CovariatePath.constant(x))
+    pairs = [(loan.covariates, _reference_layout([1.0], x))
              for loan, x in zip(result.dataset.loans, design)]
-    pairs += [(got.covariates, want.covariates)
-              for got, want in zip(read_dataset_csv(tmp_path / "step.csv").loans, step.loans)]
-    assert len(pairs) == len(result.dataset.loans) + 3
+    for loan in step.loans + read_dataset_csv(tmp_path / "step.csv").loans:
+        pairs.append((loan.covariates, _reference_layout(*steps[loan.loan_id])))
+    # make_benchmark's covariates, drawn again from each loan's own generator
+    config = BenchmarkConfig(n_loans=25, true_params=params_small(4), n_covariates=3, seed=6)
+    for i, loan in enumerate(make_benchmark(config)[0].loans):
+        rng = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(i,)))
+        x = np.concatenate(([1.0], rng.standard_normal(2), [float(rng.integers(0, 2))]))
+        pairs.append((loan.covariates, _reference_layout([1.0], x)))
+    assert len(pairs) == len(result.dataset.loans) + 6 + 25
     for path, checked in pairs:
         for name in ("obs_times", "values", "boundaries"):
-            got, want = getattr(path, name), getattr(checked, name)
+            got, want = getattr(path, name), checked[name]
             assert not got.flags.writeable, name
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name

@@ -100,6 +100,22 @@ def test_empty_book_kernel_reproduces_prior_moments():
     assert all(coordinates(like, risk).intercept is None for risk in RiskKind)
 
 
+@pytest.mark.parametrize("prior", [
+    PriorSpec(),
+    PriorSpec(0.5, 3.0, 0.1, 1e-6),
+    PriorSpec(1e4, 1e-2, 40.0, 1e3),
+], ids=["default", "tight-theta", "wide-theta"])
+def test_prior_log_density_is_normalized(prior):
+    params = params_small(4)
+    want = 0.0
+    for risk in RiskKind:
+        b = params.baseline(risk)
+        want += np.sum(stats.norm.logpdf(params.theta(risk), scale=prior.theta_sd))
+        want += stats.norm.logpdf(b.mu, scale=prior.mu_sd)
+        want += stats.invgamma(a=prior.sigma2_shape, scale=prior.sigma2_rate).logpdf(b.sigma2)
+    assert prior.log_density(params) == pytest.approx(want, rel=1e-12)
+
+
 # --- coordinates ----------------------------------------------------------------
 
 
@@ -453,3 +469,5 @@ def test_sampler_config_validation():
         SamplerConfig(thin=0)
     with pytest.raises(ValueError):
         SamplerConfig(n_chains=0)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+        SamplerConfig(seed=-3)

@@ -180,3 +180,5 @@ def test_benchmark_config_validation():
     with pytest.raises(ValueError):
         BenchmarkConfig(n_loans=5, true_params=params, n_covariates=2,
                         maturity=0.0)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+        BenchmarkConfig(n_loans=5, true_params=params, n_covariates=2, seed=-3)
