@@ -14,7 +14,6 @@ or configuration, 5 sampler finished but failed the convergence gate.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -241,8 +240,7 @@ def cmd_ingest(args) -> int:
         if not Path(args.schema).is_file():
             print(f"error: schema file not found: {args.schema}", file=sys.stderr)
             return EXIT_USAGE
-        with open(args.schema, encoding="utf-8") as fh:
-            schema = FileSchema.from_json_dict(json.load(fh))
+        schema = fileio.read_json(FileSchema, args.schema, "input file schema")
     else:
         schema = None
     repurchase = ("N", "") if args.accept_blank_repurchase else ("N",)

@@ -10,9 +10,14 @@ sampler statistics).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import json
+import math
+import types
 import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +45,9 @@ __all__ = [
     "read_truth_json",
     "read_fit_config",
     "read_simulate_config",
+    "from_json",
+    "read_json",
     "params_to_json_dict",
-    "params_from_json_dict",
 ]
 
 _STATUS_BY_VALUE = {s.value: s for s in LoanStatus}
@@ -103,6 +109,24 @@ def _numbers(path, line_no: int, names: list[str], cells: list[str], parse=float
         raise
 
 
+def _csv_rows(path, what: str):
+    """The header, then (line number, cells) of each row, of a CSV file; an
+    empty file, text that is not UTF-8 and a row the csv module refuses (a
+    cell over its size limit) raise ValueError naming the file."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty {what} file")
+            yield header
+            yield from enumerate(reader, start=2)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_dataset_csv(path) -> Dataset:
     """Inverse of ``write_dataset_csv``.
 
@@ -111,42 +135,38 @@ def read_dataset_csv(path) -> Dataset:
     An error in a row names ``path:line``; one in a loan-level field names
     the line of the loan's first row.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset file") from None
-        fixed = ["loan_id", "status", "time", "maturity", "obs_time"]
-        if header[: len(fixed)] != fixed:
-            raise ValueError(f"{path}: expected columns {fixed}..., got {header[:5]}")
-        schema = tuple(header[len(fixed) :])
-        if not schema:
-            raise ValueError(f"{path}: no covariate columns")
+    rows = _csv_rows(path, "dataset")
+    header = next(rows)
+    fixed = ["loan_id", "status", "time", "maturity", "obs_time"]
+    if header[: len(fixed)] != fixed:
+        raise ValueError(f"{path}: expected columns {fixed}..., got {header[:5]}")
+    schema = tuple(header[len(fixed) :])
+    if not schema:
+        raise ValueError(f"{path}: no covariate columns")
 
-        heads: list[tuple] = []  # (loan_id, status, time, maturity) per loan
-        starts: list[int] = []  # index of each loan's first row
-        obs_times: list[float] = []
-        values: list[list[float]] = []
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(fixed) + len(schema):
-                raise ValueError(f"{path}:{line_no}: expected {len(fixed)+len(schema)} fields")
-            loan_id, status_s = row[:2]
-            if status_s not in _STATUS_BY_VALUE:
-                raise ValueError(f"{path}:{line_no}: unknown status {status_s!r}")
-            time, maturity, obs_time, *covariates = _numbers(path, line_no, header[2:], row[2:])
-            head = (loan_id, _STATUS_BY_VALUE[status_s], time, maturity)
-            if not heads or heads[-1][0] != loan_id:
-                if loan_id in seen:
-                    raise ValueError(f"{path}:{line_no}: rows of loan {loan_id} not consecutive")
-                seen.add(loan_id)
-                heads.append(head)
-                starts.append(len(obs_times))
-            elif heads[-1] != head:
-                raise ValueError(f"{path}:{line_no}: loan {loan_id} rows disagree on loan fields")
-            obs_times.append(obs_time)
-            values.append(covariates)
+    heads: list[tuple] = []  # (loan_id, status, time, maturity) per loan
+    starts: list[int] = []  # index of each loan's first row
+    obs_times: list[float] = []
+    values: list[list[float]] = []
+    seen: set[str] = set()
+    for line_no, row in rows:
+        if len(row) != len(fixed) + len(schema):
+            raise ValueError(f"{path}:{line_no}: expected {len(fixed)+len(schema)} fields")
+        loan_id, status_s = row[:2]
+        if status_s not in _STATUS_BY_VALUE:
+            raise ValueError(f"{path}:{line_no}: unknown status {status_s!r}")
+        time, maturity, obs_time, *covariates = _numbers(path, line_no, header[2:], row[2:])
+        head = (loan_id, _STATUS_BY_VALUE[status_s], time, maturity)
+        if not heads or heads[-1][0] != loan_id:
+            if loan_id in seen:
+                raise ValueError(f"{path}:{line_no}: rows of loan {loan_id} not consecutive")
+            seen.add(loan_id)
+            heads.append(head)
+            starts.append(len(obs_times))
+        elif heads[-1] != head:
+            raise ValueError(f"{path}:{line_no}: loan {loan_id} rows disagree on loan fields")
+        obs_times.append(obs_time)
+        values.append(covariates)
     # row i of the file body is line i + 2 (the header is line 1)
     paths = CovariatePath._from_columns(
         obs_times, values, starts, schema, lambda row: f"{path}:{row + 2}"
@@ -176,23 +196,19 @@ def write_draws_csv(samples: PosteriorSamples, path) -> None:
 
 def read_draws_csv(path) -> PosteriorSamples:
     """Inverse of ``write_draws_csv``; sampler statistics come back empty."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty draws file") from None
-        schema = tuple(n.split(":", 1)[1] for n in header if n.startswith("theta_default:"))
-        names = param_names(schema)
-        if header != ["chain", "iteration", *names]:
-            raise ValueError(f"{path}: expected header chain,iteration,{','.join(names)}")
-        rows = []
-        meta = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{line_no}: wrong field count")
-            meta.append(_numbers(path, line_no, header[:2], row[:2], int))
-            rows.append(_numbers(path, line_no, names, row[2:]))
+    lines = _csv_rows(path, "draws")
+    header = next(lines)
+    schema = tuple(n.split(":", 1)[1] for n in header if n.startswith("theta_default:"))
+    names = param_names(schema)
+    if header != ["chain", "iteration", *names]:
+        raise ValueError(f"{path}: expected header chain,iteration,{','.join(names)}")
+    rows = []
+    meta = []
+    for line_no, row in lines:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line_no}: wrong field count")
+        meta.append(_numbers(path, line_no, header[:2], row[:2], int))
+        rows.append(_numbers(path, line_no, names, row[2:]))
     if not rows:
         raise ValueError(f"{path}: no draws")
     mat = np.array(rows)
@@ -222,12 +238,7 @@ def write_acceptance_csv(samples: PosteriorSamples, path) -> None:
     write_csv(path, ["chain", *blocks], rows)
 
 
-# --- truth / params -----------------------------------------------------------
-
-
-_PARAM_KEYS = (
-    "mu_default", "sigma2_default", "mu_prepay", "sigma2_prepay", "theta_default", "theta_prepay",
-)
+# --- JSON inputs --------------------------------------------------------------
 
 
 def params_to_json_dict(params: ModelParams) -> dict:
@@ -241,23 +252,125 @@ def params_to_json_dict(params: ModelParams) -> dict:
     }
 
 
-def _require(d, keys: tuple[str, ...], what: str) -> None:
-    """Raise ValueError naming the first of ``keys`` missing from JSON object ``d``."""
-    if not isinstance(d, dict):
+@dataclass
+class _ParamsJSON:
+    """``ModelParams`` as JSON holds them (``params_to_json_dict``)."""
+
+    mu_default: float
+    sigma2_default: float
+    mu_prepay: float
+    sigma2_prepay: float
+    theta_default: tuple[float, ...]
+    theta_prepay: tuple[float, ...]
+    params: ModelParams = field(init=False)
+
+    def __post_init__(self) -> None:
+        baselines = []
+        for risk in ("default", "prepay"):
+            mu, sigma2 = getattr(self, f"mu_{risk}"), getattr(self, f"sigma2_{risk}")
+            try:
+                baselines.append(LognormalBaseline(mu, sigma2))
+            except ValueError as exc:  # the baseline cannot name the key
+                key = f"sigma2_{risk}" if math.isfinite(mu) else f"mu_{risk}"
+                raise ValueError(f'"{key}": {exc}') from None
+        self.params = ModelParams(*baselines, self.theta_default, self.theta_prepay)
+
+
+@dataclass(frozen=True)
+class _FitConfig:
+    prior: PriorSpec = PriorSpec()
+    sampler: SamplerConfig = SamplerConfig()
+
+
+# each scalar annotation: the JSON values it accepts (never true/false as a
+# number, although Python counts bool an int) and what an error says it must be
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
+            bool: (bool, "true or false"), str: (str, "a string")}
+
+
+def _describe(tp) -> str:
+    """What a JSON value must be to decode as annotation ``tp``."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        return " or ".join("null" if a is type(None) else _describe(a) for a in args)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return f"a list of {len(args)} items"
+    if tp in _SCALARS:
+        return _SCALARS[tp][1]
+    return "a JSON object" if origin is dict else "a list"
+
+
+def _record(cls, obj, what: str):
+    """Dataclass or TypedDict ``cls`` from the JSON object ``obj``."""
+    if not isinstance(obj, dict):
         raise ValueError(f"{what}: expected a JSON object")
-    for key in keys:
-        if key not in d:
+    hints = typing.get_type_hints(cls)
+    if typing.is_typeddict(cls):
+        names, required = {k: k for k in hints}, cls.__required_keys__
+    else:
+        fields = [f for f in dataclasses.fields(cls) if f.init]
+        names = {f.metadata.get("json", f.name): f.name for f in fields}
+        missing = dataclasses.MISSING
+        required = [k for k, f in zip(names, fields) if f.default is missing is f.default_factory]
+    for key in required:
+        if key not in obj:
             raise ValueError(f'{what}: missing required key "{key}"')
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {unknown}; valid keys are {sorted(names)}")
+    kwargs = {names[k]: _decode(hints[names[k]], v, what, k) for k, v in obj.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
-def params_from_json_dict(d: dict, what: str = "model parameters") -> ModelParams:
-    _require(d, _PARAM_KEYS, what)
-    return ModelParams(
-        baseline_default=LognormalBaseline(float(d["mu_default"]), float(d["sigma2_default"])),
-        baseline_prepay=LognormalBaseline(float(d["mu_prepay"]), float(d["sigma2_prepay"])),
-        theta_default=np.array(d["theta_default"], dtype=float),
-        theta_prepay=np.array(d["theta_prepay"], dtype=float),
-    )
+def _decode(tp, value, what: str, path: str):
+    """``value``, at key ``path`` of the object ``what`` names, as annotation ``tp``."""
+    if tp is ModelParams:
+        return _decode(_ParamsJSON, value, what, path).params
+    if dataclasses.is_dataclass(tp) or typing.is_typeddict(tp):
+        return _record(tp, value, f"{what} {path}" if path else what)
+    kind, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if kind is types.UnionType:  # T | None
+        if value is None:
+            return None
+        (inner,) = set(args) - {type(None)}
+        kind, args = typing.get_origin(inner) or inner, typing.get_args(inner)
+    if kind in _SCALARS:
+        if isinstance(value, bool) is (kind is bool) and isinstance(value, _SCALARS[kind][0]):
+            with contextlib.suppress(OverflowError):  # an integer too large for a float
+                return kind(value)
+    elif kind in (tuple, list) and isinstance(value, list):
+        items = args if kind is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+        if len(items) == len(value):
+            pairs = enumerate(zip(items, value))
+            return kind(_decode(t, v, what, f"{path}[{i}]") for i, (t, v) in pairs)
+    elif kind is dict and isinstance(value, dict):
+        return {k: _decode(args[1], v, what, f"{path}.{k}") for k, v in value.items()}
+    raise ValueError(f'{what}: "{path}" must be {_describe(tp)}, got {json.dumps(value)}')
+
+
+def from_json(cls, obj, what: str):
+    """Dataclass (or ``ModelParams``) ``cls`` from parsed JSON ``obj``, typed
+    by the field annotations; a field's key is its name or its ``"json"``
+    metadata.  An unknown or missing key, a value of the wrong JSON type
+    and an error from the class's own checks raise ValueError starting
+    ``what: `` and naming the key path (``"columns.dti"``,
+    ``"theta_default[1]"``); a nested object's path joins ``what``."""
+    return _decode(cls, obj, what, "")
+
+
+def read_json(cls, path, what: str):
+    """The JSON file at ``path`` decoded by ``from_json`` with ``what``
+    prefixed by the path; a file that is not UTF-8 JSON raises ValueError
+    naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"{path}: {exc}") from None
+    return from_json(cls, obj, f"{path}: {what}")
 
 
 def write_truth_json(truth: TruthRecord, path) -> None:
@@ -274,65 +387,15 @@ def write_truth_json(truth: TruthRecord, path) -> None:
 
 
 def read_truth_json(path) -> TruthRecord:
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    _require(d, ("params", "schema", "seed", "maturity", "censor_time"), "truth JSON")
-    return TruthRecord(
-        params=params_from_json_dict(d["params"], "truth JSON params"),
-        schema=tuple(d["schema"]),
-        seed=int(d["seed"]),
-        maturity=float(d["maturity"]),
-        censor_time=None if d["censor_time"] is None else float(d["censor_time"]),
-    )
-
-
-# --- run configs ----------------------------------------------------------------
-
-
-# field annotation: (JSON value types it accepts, what the error says it must be);
-# bool is never accepted, although Python counts it as an int
-_JSON_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    float | None: ((int, float, type(None)), "a number or null"),
-}
-
-
-def _build_from_dict(cls, d: dict, what: str):
-    _require(d, (), what)
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(d) - valid
-    if unknown:
-        raise ValueError(f"{what}: unknown keys {sorted(unknown)}; valid keys are {sorted(valid)}")
-    hints = typing.get_type_hints(cls)
-    for key, value in d.items():
-        if hints[key] not in _JSON_TYPES:
-            continue
-        types, expected = _JSON_TYPES[hints[key]]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f'{what}: "{key}" must be {expected}, got {json.dumps(value)}')
-    return cls(**d)
+    return read_json(TruthRecord, path, "truth JSON")
 
 
 def read_fit_config(path) -> tuple[PriorSpec, SamplerConfig]:
     """Fit configuration JSON: {"prior": {...}, "sampler": {...}}, both optional."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    _require(d, (), "fit config")
-    unknown = set(d) - {"prior", "sampler"}
-    if unknown:
-        raise ValueError(f"fit config: unknown top-level keys {sorted(unknown)}")
-    prior = _build_from_dict(PriorSpec, d.get("prior", {}), "fit config prior")
-    sampler = _build_from_dict(SamplerConfig, d.get("sampler", {}), "fit config sampler")
-    return prior, sampler
+    config = read_json(_FitConfig, path, "fit config")
+    return config.prior, config.sampler
 
 
 def read_simulate_config(path) -> BenchmarkConfig:
     """Simulation configuration JSON with the ground truth under "true"."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    _require(d, ("true",), "simulate config")
-    params = params_from_json_dict(d["true"], 'simulate config "true"')
-    rest = {k: v for k, v in d.items() if k != "true"}
-    rest["true_params"] = params
-    return _build_from_dict(BenchmarkConfig, rest, "simulate config")
+    return read_json(BenchmarkConfig, path, "simulate config")

@@ -36,9 +36,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import TypedDict
 
 import numpy as np
 
+from .fileio import from_json
 from .model import CovariatePath, Dataset, LoanObservation, LoanStatus
 
 __all__ = [
@@ -75,6 +77,8 @@ QUANT_FIELDS = (
 CAT_FIELDS = ("first_time_buyer", "occupancy_status", "property_type")
 NUMBER_FIELDS = (*QUANT_FIELDS, "cltv")
 TEXT_FIELDS = (*CAT_FIELDS, "property_state")
+RECORD_FIELDS = ("first_payment_date", *NUMBER_FIELDS, *TEXT_FIELDS)  # parsed after loan_id
+PERFORMANCE_FIELDS = ("loan_id", "reporting_date", "delinquency", "repurchase", "zero_balance")
 DEFAULT_ZB_CODES = ("03", "06", "09")
 DATE_FORMATS = ("yyyymm", "yyyy-mm")
 OTHER = "other"
@@ -118,65 +122,42 @@ class FileSchema:
     missing_codes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if "loan_id" not in self.origination_columns:
-            raise IngestError("origination_columns must map loan_id")
-        for key in ("loan_id", "reporting_date"):
-            if key not in self.performance_columns:
-                raise IngestError(f"performance_columns must map {key}")
+        _check_keys("origination_columns", self.origination_columns, ("loan_id", *RECORD_FIELDS),
+                    required=("loan_id",))
+        _check_keys("performance_columns", self.performance_columns, PERFORMANCE_FIELDS,
+                    required=PERFORMANCE_FIELDS[:2])
+        _check_keys("missing_codes", self.missing_codes, RECORD_FIELDS)
+        for key in ("origination_columns", "performance_columns"):
+            for name, col in getattr(self, key).items():
+                if col < 0:
+                    raise IngestError(f'"{key}.{name}" must be a non-negative integer, got {col}')
+        if not self.delimiter:
+            raise IngestError('"delimiter" must be a non-empty string, got ""')
+        if self.date_format not in DATE_FORMATS:
+            formats = " or ".join(f'"{f}"' for f in DATE_FORMATS)
+            got = json.dumps(self.date_format)
+            raise IngestError(f'"date_format" must be {formats}, got {got}')
 
     def is_missing(self, fieldname: str, raw: str) -> bool:
         """The empty string, or one of the field's declared missing codes."""
         return raw == "" or raw in self.missing_codes.get(fieldname, ())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FileSchema":
-        """Build from a parsed schema JSON; a missing key or a value of the
-        wrong type or range raises IngestError naming the key."""
-        what = "input file schema"
-        if not isinstance(d, dict):
-            raise IngestError(f"{what}: expected a JSON object")
 
-        def bad(key: str, expected: str, value) -> IngestError:
-            return IngestError(f'{what}: "{key}" must be {expected}, got {json.dumps(value)}')
-
-        columns = {}
-        for key in ("origination_columns", "performance_columns"):
-            if key not in d:
-                raise IngestError(f'{what}: missing required key "{key}" (found {sorted(d)})')
-            if not isinstance(d[key], dict):
-                raise bad(key, "an object of column indices", d[key])
-            for name, col in d[key].items():
-                if isinstance(col, bool) or not isinstance(col, int) or col < 0:
-                    raise bad(f"{key}.{name}", "a non-negative integer", col)
-            columns[key] = d[key]
-        delimiter = d.get("delimiter", "|")
-        if not isinstance(delimiter, str) or not delimiter:
-            raise bad("delimiter", "a non-empty string", delimiter)
-        has_header = d.get("has_header", False)
-        if not isinstance(has_header, bool):
-            raise bad("has_header", "true or false", has_header)
-        date_format = d.get("date_format", "yyyymm")
-        if date_format not in DATE_FORMATS:
-            raise bad("date_format", " or ".join(f'"{f}"' for f in DATE_FORMATS), date_format)
-        missing_codes = d.get("missing_codes", {})
-        if not isinstance(missing_codes, dict):
-            raise bad("missing_codes", "an object of string lists", missing_codes)
-        for name, codes in missing_codes.items():
-            if not (isinstance(codes, list) and all(isinstance(c, str) for c in codes)):
-                raise bad(f"missing_codes.{name}", "a list of strings", codes)
-        return cls(
-            **columns,
-            delimiter=delimiter,
-            has_header=has_header,
-            date_format=date_format,
-            missing_codes={k: tuple(v) for k, v in missing_codes.items()},
-        )
+def _check_keys(what: str, d: dict, known: tuple[str, ...], required: tuple[str, ...] = ()):
+    """Raise IngestError naming a key of ``required`` missing from ``d``, or
+    the keys of ``d`` not ``known``."""
+    for key in required:
+        if key not in d:
+            raise IngestError(f'missing required key "{what}.{key}"')
+    unknown = [f"{what}.{key}" for key in sorted(set(d) - set(known))]
+    if unknown:
+        raise IngestError(f"unknown keys {unknown}; valid keys are {list(known)}")
 
 
 def load_default_schema() -> FileSchema:
     """The packaged schema for the public single-family sample file layout."""
     text = resources.files("mortsurv.data").joinpath("freddie_sample_schema.json").read_text()
-    return FileSchema.from_json_dict(json.loads(text))
+    return from_json(FileSchema, json.loads(text), "input file schema")
 
 
 def load_judicial_states() -> frozenset[str]:
@@ -219,14 +200,18 @@ class RejectedRow:
 
 
 def _data_rows(path, schema: FileSchema):
-    """(line number, unstripped fields) of each non-blank, non-header line."""
+    """(line number, unstripped fields) of each non-blank, non-header line;
+    text that is not UTF-8 raises ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 and schema.has_header:
-                continue
-            if not line.strip():
-                continue
-            yield line_no, line.rstrip("\r\n").split(schema.delimiter)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line_no == 1 and schema.has_header:
+                    continue
+                if not line.strip():
+                    continue
+                yield line_no, line.rstrip("\r\n").split(schema.delimiter)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cell(fields: list[str], col: int | None) -> str:
@@ -268,7 +253,7 @@ def _parse_origination(loan_id: str, fields: list[str], schema: FileSchema) -> O
     """A blank cell, a declared missing code or an unmapped column gives
     None; the first unparseable field, in this loop's order, raises."""
     values: dict[str, int | float | str | None] = {}
-    for name in ("first_payment_date", *NUMBER_FIELDS, *TEXT_FIELDS):
+    for name in RECORD_FIELDS:
         raw = _cell(fields, schema.origination_columns.get(name))
         value = None
         if not schema.is_missing(name, raw):
@@ -360,12 +345,10 @@ def read_performance_file(path, schema: FileSchema, config: IngestConfig):
     so the file variants "1" and "01" compare equal, and repurchase flags
     are upper-cased.
     """
-    cols = schema.performance_columns
-    id_col, date_col = cols["loan_id"], cols["reporting_date"]
-    dlq_col, rep_col, zb_col = (cols.get(k) for k in ("delinquency", "repurchase", "zero_balance"))
+    mapped = tuple(schema.performance_columns.get(k) for k in PERFORMANCE_FIELDS)
+    id_col, date_col, dlq_col, rep_col, zb_col = mapped
     # a row this wide holds every mapped column, so its cells are indexed
     # directly; with a field unmapped every row takes the _cell path
-    mapped = (id_col, date_col, dlq_col, rep_col, zb_col)
     width = math.inf if None in mapped else max(mapped) + 1
     accepted = config.prepaid_repurchase_values
     months: dict[str, int] = {}  # raw date text -> month, parsed ones only
@@ -445,6 +428,14 @@ def categorize(
     return status, max(1, month - origination_month) / 12.0, ""
 
 
+class CategoricalGrouping(TypedDict):
+    """One categorical field's fitted levels (see ``PreprocessSpec``)."""
+
+    baseline: str
+    columns: list[str]
+    map: dict[str, str]
+
+
 @dataclass(frozen=True)
 class PreprocessSpec:
     """Frozen preprocessing decisions, serializable and replayable.
@@ -458,9 +449,13 @@ class PreprocessSpec:
     """
 
     quantitative: dict[str, tuple[float, float]]
-    categorical: dict[str, dict]
+    categorical: dict[str, CategoricalGrouping]
     judicial_states: tuple[str, ...]
     version: int = 1
+
+    def __post_init__(self) -> None:
+        _check_keys("quantitative", self.quantitative, QUANT_FIELDS, required=QUANT_FIELDS)
+        _check_keys("categorical", self.categorical, CAT_FIELDS, required=CAT_FIELDS)
 
     @property
     def schema(self) -> tuple[str, ...]:
@@ -481,22 +476,6 @@ class PreprocessSpec:
             "categorical": self.categorical,
             "judicial_states": list(self.judicial_states),
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PreprocessSpec":
-        return cls(
-            quantitative={k: (float(v[0]), float(v[1])) for k, v in d["quantitative"].items()},
-            categorical={
-                k: {
-                    "baseline": v["baseline"],
-                    "columns": list(v["columns"]),
-                    "map": dict(v["map"]),
-                }
-                for k, v in d["categorical"].items()
-            },
-            judicial_states=tuple(d["judicial_states"]),
-            version=int(d["version"]),
-        )
 
 
 def fit_preprocess(

@@ -17,7 +17,7 @@ default-time uniform, then the prepay-time uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class BenchmarkConfig:
     """
 
     n_loans: int
-    true_params: ModelParams
+    true_params: ModelParams = field(metadata={"json": "true"})  # its key in a config file
     n_covariates: int = 3
     maturity: float = 30.0
     censor_time: float | None = None

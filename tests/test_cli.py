@@ -810,3 +810,123 @@ def test_draws_unparseable_number_names_its_place(sim_outputs, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 4
     assert f"{draws}:2: {column} {value!r} is not {kind}" in err
+
+
+# --- corrupted input files ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def clean_inputs(tmp_path_factory):
+    """One valid file for each input flag, keyed by (command, flag)."""
+    d = tmp_path_factory.mktemp("clean")
+    sim = d / "sim.json"
+    sim.write_text(json.dumps({
+        "n_loans": 30, "n_covariates": 2, "seed": 9,
+        "true": {"mu_default": 2.8, "sigma2_default": 0.9, "mu_prepay": 1.6,
+                 "sigma2_prepay": 0.5, "theta_default": [-0.8, 0.5, 0.2],
+                 "theta_prepay": [0.3, -0.2, 0.1]},
+    }))
+    fit = d / "fit.json"
+    fit.write_text(json.dumps({"sampler": {"n_chains": 2, "n_iters": 40, "burn_in": 20,
+                                           "thin": 4, "seed": 1}}))
+    assert main(["simulate", "--config", str(sim), "--out-dir", str(d)]) == 0
+    assert main(["fit", "--dataset", str(d / "dataset.csv"), "--config", str(fit),
+                 "--allow-nonconverged", "--out-dir", str(d)]) == 0
+    (d / "orig.txt").write_text(orow(lid="L001") + "\n")
+    (d / "perf.txt").write_text(prow(lid="L001", ym="200502", zb="01", rep="N") + "\n")
+    (d / "schema.json").write_bytes(
+        (files("mortsurv.data") / "freddie_sample_schema.json").read_bytes())
+    return {
+        ("simulate", "--config"): sim,
+        ("fit", "--dataset"): d / "dataset.csv",
+        ("fit", "--config"): fit,
+        ("predict", "--dataset"): d / "dataset.csv",
+        ("predict", "--draws"): d / "draws.csv",
+        ("ingest", "--origination"): d / "orig.txt",
+        ("ingest", "--performance"): d / "perf.txt",
+        ("ingest", "--schema"): d / "schema.json",
+    }
+
+
+def _non_utf8(data: bytes) -> bytes:
+    at = data.find(b"\n") + 1 or len(data) // 2
+    return data[:at] + b"\xe9" + data[at:]
+
+
+def _huge_cell(data: bytes) -> bytes:
+    header, rest = data.split(b"\n", 1)
+    return header + b"\n" + b"9" * 200_000 + rest
+
+
+CORRUPTIONS = {
+    "non-utf8": _non_utf8,
+    "huge-cell": _huge_cell,
+    "invalid-json": lambda data: data.replace(b'"', b"'", 1),
+    "utf8-bom": lambda data: b"\xef\xbb\xbf" + data,
+}
+CSV_FLAGS = [("fit", "--dataset"), ("predict", "--draws")]
+JSON_FLAGS = [("fit", "--config"), ("simulate", "--config"), ("ingest", "--schema")]
+RAW_FLAGS = [("ingest", "--origination"), ("ingest", "--performance")]
+CORRUPT_CASES = (
+    [(*flag, "non-utf8") for flag in CSV_FLAGS + JSON_FLAGS + RAW_FLAGS]
+    + [(*flag, "huge-cell") for flag in CSV_FLAGS]
+    + [(*flag, kind) for flag in JSON_FLAGS for kind in ("invalid-json", "utf8-bom")]
+)
+
+
+@pytest.mark.parametrize("command, flag, kind", CORRUPT_CASES,
+                         ids=[f"{c}{f}-{k}" for c, f, k in CORRUPT_CASES])
+def test_corrupted_input_file_exits_cleanly_naming_it(clean_inputs, tmp_path, capsys,
+                                                      command, flag, kind):
+    bad = tmp_path / clean_inputs[command, flag].name
+    bad.write_bytes(CORRUPTIONS[kind](clean_inputs[command, flag].read_bytes()))
+    argv = [command]
+    for (cmd, other), path in clean_inputs.items():
+        if cmd == command:
+            argv += [other, str(bad if other == flag else path)]
+    rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (3, 4), err
+    assert err.startswith("error: ") and str(bad) in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, block, key, value, says", [
+    ("simulate", "true", "mu_default", "abc", '"mu_default" must be a number, got "abc"'),
+    ("simulate", "true", "mu_default", True, '"mu_default" must be a number, got true'),
+    ("simulate", "true", "sigma2_default", -1, '"sigma2_default": sigma2 must be positive'),
+    ("fit", "sampler", "n_chains", 0, "n_chains must be at least 1"),
+    ("fit", "prior", "theta_sd", -1, "theta_sd must be positive and finite, got -1.0"),
+], ids=["string", "bool", "negative-variance", "no-chains", "negative-sd"])
+def test_config_value_error_names_file_block_and_key(sim_config, tmp_path, capsys,
+                                                     command, block, key, value, says):
+    cfg = json.loads(sim_config.read_text()) if command == "simulate" else {block: {}}
+    cfg[block][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(bad), "--out-dir", str(tmp_path / "out")]
+    if command == "fit":
+        dataset = tmp_path / "dataset.csv"
+        write_dataset_csv(Dataset(loans=(), schema=("intercept",)), dataset)
+        argv += ["--dataset", str(dataset)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(f"error: {bad}: {command} config {block}: {says}"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_with_misspelled_optional_keys_exits_4(tmp_path, capsys):
+    schema = json.loads((files("mortsurv.data") / "freddie_sample_schema.json").read_text())
+    schema.update(delimeter=",", has_headr=True)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema))
+    (tmp_path / "orig.txt").write_text(orow(lid="L001") + "\n")
+    (tmp_path / "perf.txt").write_text(prow(lid="L001", ym="200502", zb="01", rep="N") + "\n")
+    rc = main(["ingest", "--origination", str(tmp_path / "orig.txt"),
+               "--performance", str(tmp_path / "perf.txt"), "--schema", str(path),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith(
+        f"error: {path}: input file schema: unknown keys ['delimeter', 'has_headr']")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from mortsurv import (
     summarize,
 )
 from mortsurv.fileio import (
-    params_from_json_dict,
+    from_json,
     params_to_json_dict,
     read_dataset_csv,
     read_draws_csv,
@@ -160,7 +161,7 @@ def test_truth_roundtrip(tmp_path):
 def test_params_json_dict_roundtrip():
     params = params_small(3)
     d = params_to_json_dict(params)
-    back = params_from_json_dict(d)
+    back = from_json(ModelParams, d, "model parameters")
     assert back.baseline_prepay.sigma2 == params.baseline_prepay.sigma2
     np.testing.assert_array_equal(back.theta_prepay, params.theta_prepay)
 
@@ -291,3 +292,33 @@ def test_draws_csv_roundtrip_is_bitwise_for_random_files(tmp_path_factory, sampl
     np.testing.assert_array_equal(back.chain, samples.chain)
     np.testing.assert_array_equal(back.iteration, samples.iteration)
     assert back.matrix().tobytes() == samples.matrix().tobytes()
+
+
+@pytest.mark.parametrize("key, value, says", [
+    ("seed", 3.7, '"seed" must be an integer, got 3.7'),
+    ("maturity", "30", '"maturity" must be a number, got "30"'),
+    ("censor_time", True, '"censor_time" must be a number or null, got true'),
+])
+def test_truth_json_value_of_wrong_type_names_the_key(tmp_path, key, value, says):
+    _, truth = make_benchmark(BenchmarkConfig(n_loans=3, true_params=params_small(4)))
+    f = tmp_path / "truth.json"
+    write_truth_json(truth, f)
+    d = json.loads(f.read_text())
+    d[key] = value
+    f.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        read_truth_json(f)
+    assert str(exc.value) == f"{f}: truth JSON: {says}"
+
+
+def test_simulate_config_integer_for_a_number_reads_as_float(tmp_path):
+    """FORMATS.md writes every float as repr(float(x)): an integer maturity in
+    the config becomes 30.0 in the dataset and truth files, not 30."""
+    f = tmp_path / "sim.json"
+    f.write_text(json.dumps({"n_loans": 2, "n_covariates": 2, "maturity": 30, "censor_time": 10,
+                             "true": params_to_json_dict(params_small(3))}))
+    cfg = read_simulate_config(f)
+    assert type(cfg.maturity) is float and type(cfg.censor_time) is float
+    _, truth = make_benchmark(cfg)
+    write_truth_json(truth, tmp_path / "truth.json")
+    assert '"maturity": 30.0' in (tmp_path / "truth.json").read_text()

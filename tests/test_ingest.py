@@ -24,7 +24,7 @@ from mortsurv import (
     ZeroVarianceError,
     ingest_portfolio,
 )
-from mortsurv.fileio import read_dataset_csv, write_dataset_csv
+from mortsurv.fileio import from_json, read_dataset_csv, write_dataset_csv
 from mortsurv.ingest import (
     DEFAULT_ZB_CODES,
     QUANT_FIELDS,
@@ -577,7 +577,7 @@ def test_judicial_state_membership():
 def test_preprocess_spec_json_roundtrip():
     recs = varied_records(12, first_time_buyer=lambda i: "Y" if i % 3 else "N")
     spec = fit_preprocess(recs)
-    again = PreprocessSpec.from_json_dict(spec.to_json_dict())
+    again = from_json(PreprocessSpec, spec.to_json_dict(), "preprocess JSON")
     assert again == spec
     assert again.schema == spec.schema
 
@@ -759,3 +759,18 @@ def test_bulk_built_paths_are_read_only_and_bitwise_checked(toy_files, tmp_path)
             assert not got.flags.writeable, name
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("change, says", [
+    ({"origination_columns": {"loan_id": -1}},
+     '"origination_columns.loan_id" must be a non-negative integer, got -1'),
+    ({"delimiter": ""}, '"delimiter" must be a non-empty string, got ""'),
+    ({"date_format": "mm/yyyy"}, '"date_format" must be "yyyymm" or "yyyy-mm", got "mm/yyyy"'),
+    ({"performance_columns": {"loan_id": 0}},
+     'missing required key "performance_columns.reporting_date"'),
+    ({"missing_codes": {"zero_balance": ("X",)}}, "unknown keys ['missing_codes.zero_balance']"),
+])
+def test_file_schema_checks_its_values(change, says):
+    with pytest.raises(IngestError) as exc:
+        replace(load_default_schema(), **change)
+    assert str(exc.value).startswith(says)
