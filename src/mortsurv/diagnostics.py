@@ -61,7 +61,8 @@ class _MixtureGrid:
     """Draw-averaged reliability of one risk on one log-time grid up to the horizon."""
 
     def __init__(self, curves: RiskCurves, horizon: float):
-        lowest = curves.invert(np.arange(curves.n_draws), np.full(curves.n_draws, _TAIL_CUMHAZ))
+        g = np.arange(curves.n_draws)
+        lowest = curves.hazard.invert(g, np.full(g.size, _TAIL_CUMHAZ))
         edges = [float(np.clip(lowest.min(), _SPAN[0] * horizon, _SPAN[1] * horizon))]
         edges += [b for b in curves.path.boundaries[1:-1] if edges[0] < b < horizon] + [horizon]
         t, w = [edges[0]], [0.0]

@@ -18,6 +18,7 @@ import math
 import types
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -94,6 +95,26 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
     write_csv(path, header, rows)
 
 
+def utf8_error(path, exc: UnicodeDecodeError) -> ValueError:
+    """The error for a file whose text is not UTF-8, naming ``path:line`` and
+    the file offset of the first bad byte.
+
+    A text reader decodes in chunks, so ``exc`` counts its position from
+    the chunk; the file's bytes are read again to place it, which is why
+    this is called on the error path only.
+    """
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as bad:
+        line = data.count(b"\n", 0, bad.start) + 1
+        return ValueError(
+            f"{path}:{line}: 'utf-8' codec can't decode byte 0x{data[bad.start]:02x} "
+            f"at offset {bad.start}: {bad.reason}"
+        )
+    return ValueError(f"{path}: {exc}")  # the file changed since it was read
+
+
 def _numbers(path, line_no: int, names: list[str], cells: list[str], parse=float) -> list:
     """``parse`` every cell; one that does not parse raises ValueError naming
     ``path:line``, its column and its text."""
@@ -111,8 +132,9 @@ def _numbers(path, line_no: int, names: list[str], cells: list[str], parse=float
 
 def _csv_rows(path, what: str):
     """The header, then (line number, cells) of each row, of a CSV file; an
-    empty file, text that is not UTF-8 and a row the csv module refuses (a
-    cell over its size limit) raise ValueError naming the file."""
+    empty file, text that is not UTF-8 (``utf8_error``) and a row the csv
+    module refuses (a cell over its size limit) raise ValueError naming the
+    file."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -122,7 +144,7 @@ def _csv_rows(path, what: str):
             yield header
             yield from enumerate(reader, start=2)
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise utf8_error(path, exc) from None
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -288,6 +310,23 @@ _SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
             bool: (bool, "true or false"), str: (str, "a string")}
 
 
+class _JSONObject(dict):
+    """A parsed JSON object; ``repeated`` is its first key given twice, if any."""
+
+    repeated = None
+
+
+def json_object(pairs: list) -> dict:
+    """``object_pairs_hook`` for ``json.load``: the object, with a repeated
+    key kept on it for ``from_json`` to refuse (the hook cannot say where
+    the object lies in the document)."""
+    obj = _JSONObject(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        obj.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
 def _describe(tp) -> str:
     """What a JSON value must be to decode as annotation ``tp``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -304,6 +343,8 @@ def _record(cls, obj, what: str):
     """Dataclass or TypedDict ``cls`` from the JSON object ``obj``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what}: expected a JSON object")
+    if getattr(obj, "repeated", None) is not None:
+        raise ValueError(f'{what}: repeated key "{obj.repeated}"')
     hints = typing.get_type_hints(cls)
     if typing.is_typeddict(cls):
         names, required = {k: k for k in hints}, cls.__required_keys__
@@ -347,6 +388,8 @@ def _decode(tp, value, what: str, path: str):
             pairs = enumerate(zip(items, value))
             return kind(_decode(t, v, what, f"{path}[{i}]") for i, (t, v) in pairs)
     elif kind is dict and isinstance(value, dict):
+        if getattr(value, "repeated", None) is not None:
+            raise ValueError(f'{what}: repeated key "{path}.{value.repeated}"')
         return {k: _decode(args[1], v, what, f"{path}.{k}") for k, v in value.items()}
     raise ValueError(f'{what}: "{path}" must be {_describe(tp)}, got {json.dumps(value)}')
 
@@ -357,18 +400,22 @@ def from_json(cls, obj, what: str):
     metadata.  An unknown or missing key, a value of the wrong JSON type
     and an error from the class's own checks raise ValueError starting
     ``what: `` and naming the key path (``"columns.dti"``,
-    ``"theta_default[1]"``); a nested object's path joins ``what``."""
+    ``"theta_default[1]"``); a nested object's path joins ``what``.  An
+    object parsed with ``json_object`` that repeats a key raises the same
+    way, naming the key."""
     return _decode(cls, obj, what, "")
 
 
 def read_json(cls, path, what: str):
     """The JSON file at ``path`` decoded by ``from_json`` with ``what``
-    prefixed by the path; a file that is not UTF-8 JSON raises ValueError
-    naming it."""
+    prefixed by the path; a file that is not UTF-8 (``utf8_error``) or not
+    JSON, and a repeated key, raise ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            obj = json.load(fh, object_pairs_hook=json_object)
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, exc) from None
+    except ValueError as exc:  # JSONDecodeError
         raise ValueError(f"{path}: {exc}") from None
     return from_json(cls, obj, f"{path}: {what}")
 

@@ -40,7 +40,7 @@ from typing import TypedDict
 
 import numpy as np
 
-from .fileio import from_json
+from .fileio import from_json, json_object, utf8_error
 from .model import CovariatePath, Dataset, LoanObservation, LoanStatus
 
 __all__ = [
@@ -157,7 +157,8 @@ def _check_keys(what: str, d: dict, known: tuple[str, ...], required: tuple[str,
 def load_default_schema() -> FileSchema:
     """The packaged schema for the public single-family sample file layout."""
     text = resources.files("mortsurv.data").joinpath("freddie_sample_schema.json").read_text()
-    return from_json(FileSchema, json.loads(text), "input file schema")
+    obj = json.loads(text, object_pairs_hook=json_object)
+    return from_json(FileSchema, obj, "input file schema")
 
 
 def load_judicial_states() -> frozenset[str]:
@@ -201,7 +202,7 @@ class RejectedRow:
 
 def _data_rows(path, schema: FileSchema):
     """(line number, unstripped fields) of each non-blank, non-header line;
-    text that is not UTF-8 raises ValueError naming the file."""
+    text that is not UTF-8 raises ``fileio.utf8_error``."""
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
@@ -211,7 +212,7 @@ def _data_rows(path, schema: FileSchema):
                     continue
                 yield line_no, line.rstrip("\r\n").split(schema.delimiter)
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise utf8_error(path, exc) from None
 
 
 def _cell(fields: list[str], col: int | None) -> str:

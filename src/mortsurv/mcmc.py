@@ -5,8 +5,9 @@ its coefficients, log-time location and log-time variance.  Once per fit,
 ``laplace_block`` finds the block's posterior mode by a damped Newton
 search on the analytic gradient and Hessian
 (``PortfolioLikelihood.risk_loglik_derivs``), which also gives the Hessian
-at the mode.  Every sweep then makes one proposal per risk.  Two sweeps
-in three draw it from a fixed multivariate t around the mode, with
+at the mode; a search that stops short of the mode logs a warning.
+Every sweep then makes one proposal per risk.  Two sweeps in three draw
+it from a fixed multivariate t around the mode, with
 ``PROPOSAL_DF`` degrees of freedom and scale ``PROPOSAL_SCALE`` times a
 square root of the Laplace covariance (the inverse negative Hessian), and
 accept it with the independence-sampler ratio (Tierney 1994).  Every ``_CYCLE``-th sweep
@@ -35,6 +36,7 @@ on its own with ``run_chain``.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +63,8 @@ __all__ = [
     "effective_sample_size",
     "summarize",
 ]
+
+_LOG = logging.getLogger(__name__)
 
 # the independence proposal: a multivariate t with this many degrees of
 # freedom, scaled by this factor times a square root of the Laplace covariance
@@ -343,7 +347,7 @@ def _negative_cholesky(hess: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _newton(target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton(target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton ascent of ``target`` (value, gradient, Hessian) from x.
 
     Where minus the Hessian H is not positive definite, the step adds
@@ -355,8 +359,8 @@ def _newton(target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     too.  Stops when the squared Newton decrement under the unshifted
     Hessian falls below ``_DECREMENT_TOL``, when no shift works (a
     non-finite Hessian), when no step short enough to leave x unchanged
-    improves, or after ``_MAX_STEPS`` steps; returns the last point and its
-    Hessian.
+    improves, or after ``_MAX_STEPS`` steps; returns the last point, its
+    gradient and its Hessian.
     """
     value, grad, hess = target(x)
     for _ in range(_MAX_STEPS):
@@ -376,13 +380,13 @@ def _newton(target, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         while True:
             x_new = x + t * step
             if np.array_equal(x_new, x):
-                return x, hess
+                return x, grad, hess
             new = target(x_new)
             if new[0] >= value + 1e-4 * t * slope:
                 break
             t *= 0.5
         x, (value, grad, hess) = x_new, new
-    return x, hess
+    return x, grad, hess
 
 
 def laplace_block(like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind) -> LaplaceBlock:
@@ -396,7 +400,9 @@ def laplace_block(like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind) -
     mode maps to the mode and the Hessian there to J' H J, with J the
     derivative of ``Coordinates.to_model``.  Raises ``InitializationError``
     naming the risk when the log posterior is not finite at the start, or
-    when the Hessian where the search stops is not negative definite.
+    when the Hessian where the search stops is not negative definite.  A
+    search that stops with its squared Newton decrement at or above
+    ``_DECREMENT_TOL`` logs one warning naming the risk and the decrement.
     """
     coords = coordinates(like, risk)
 
@@ -410,12 +416,19 @@ def laplace_block(like: PortfolioLikelihood, prior: PriorSpec, risk: RiskKind) -
         )
     # a Hessian that overflows ends the search, and is not negative definite
     with np.errstate(over="ignore", invalid="ignore"):
-        x, hess = _newton(target, x)
+        x, grad, hess = _newton(target, x)
         chol = _negative_cholesky(hess)
     if chol is None:
         raise InitializationError(
             f"{risk.value} risk: the Hessian of the log posterior is not negative definite "
             "where the mode search stopped"
+        )
+    y = np.linalg.solve(chol, grad)
+    decrement = float(y @ y)
+    if not decrement < _DECREMENT_TOL:
+        _LOG.warning(
+            "%s risk: the mode search stopped short of the mode, squared Newton "
+            "decrement %.3g (tolerance %g)", risk.value, decrement, _DECREMENT_TOL,
         )
     mode = coords.from_model(x[:-2], x[-2], x[-1])
     # -J'HJ = (C'J)'(C'J), so the R of a QR of C'J is the Cholesky factor in

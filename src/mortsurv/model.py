@@ -38,7 +38,7 @@ __all__ = [
     "baseline_cumhaz",
     "covariate_at",
     "cumulative_hazard",
-    "invert_cumulative_hazard",
+    "PathHazard",
 ]
 
 
@@ -459,59 +459,93 @@ def cumulative_hazard(
     return float(np.sum(np.exp(eta) * pieces))
 
 
-# exp(700): caps a proportional-hazards weight so that an overflowed weight
-# times an underflowed interval mass stays 0 instead of becoming inf * 0
-_WEIGHT_CAP = math.exp(700.0)
+# exp(theta' x) is capped at exp(LOG_WEIGHT_CAP): an overflowed weight times an
+# underflowed baseline increment then stays finite instead of becoming inf * 0
+LOG_WEIGHT_CAP = 700.0
 
 
-def invert_cumulative_hazard(
-    bounds: np.ndarray,
-    weights: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    target: np.ndarray,
-) -> np.ndarray:
-    """Times t with Lambda(t) = target, one per row, in closed form.
+class PathHazard:
+    """Cumulative hazard Lambda(t) of one risk under one covariate path, and
+    its inverse, for n parameter rows at once.
 
-    Row i is one risk under one parameter draw: baseline log T ~ N(mu[i],
-    sigma[i]**2) and weight weights[i, j] = exp(theta' x_j) on the
-    covariate interval (bounds[j], bounds[j+1]].  Each row walks the
-    intervals, spending each interval's hazard capacity, until its target
-    falls inside one; there it solves the lognormal integrated baseline
-    through the inverse log-CDF.  Exact up to float rounding.  A target of
-    +inf, a time past the float range, or a row whose hazard underflows
-    to zero returns +inf.  Weights are capped at exp(700).
-
-    Parameters
-    ----------
-    bounds : ndarray, shape (m+1,)
-        Interval boundaries 0 = s_0 < ... < s_m = inf (``CovariatePath.boundaries``).
-    weights : ndarray, shape (n, m)
-    mu, sigma, target : ndarray, shape (n,)
-
-    Returns
-    -------
-    ndarray, shape (n,)
+    Row i has baseline log T ~ N(mu[i], sigma[i]**2) and weights (n, m)
+    weights[i, j] = exp(theta' x_j) on the path's interval j, capped at
+    exp(``LOG_WEIGHT_CAP``).  The table, built once, holds per row and
+    interval the integrated baseline H0 at the interval's start, the
+    interval's hazard capacity (weight times H0 increment, +inf on the last
+    interval) and the hazard spent before it.  ``log_survival`` and
+    ``invert`` both read it, so Lambda and its inverse agree to rounding.
     """
-    n, m = weights.shape
-    h0 = np.zeros((n, m + 1))
-    h0[:, -1] = np.inf
-    if m > 1:
-        z = (np.log(bounds[1:-1])[None, :] - mu[:, None]) / sigma[:, None]
-        h0[:, 1:-1] = -log_normal_survival(z)
-    weights = np.minimum(weights, _WEIGHT_CAP)
-    remaining = np.array(target, dtype=float)
-    out = np.full(n, np.inf)
-    todo = np.ones(n, dtype=bool)
-    # inf - inf once a row is done; exp overflow means an event beyond any horizon
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(m):
-            cap = weights[:, j] * (h0[:, j + 1] - h0[:, j])
-            hit = todo & (remaining <= cap)
-            if hit.any():
-                # H0(t) = h0[j] + remaining / weight, through the inverse log-CDF
-                z = -sps.ndtri_exp(-(h0[hit, j] + remaining[hit] / weights[hit, j]))
-                out[hit] = np.exp(mu[hit] + sigma[hit] * z)
-            todo &= ~hit
-            remaining -= cap
-    return out
+
+    def __init__(self, path: CovariatePath, weights, mu, sigma):
+        self.path = path
+        self.weights = np.minimum(weights, math.exp(LOG_WEIGHT_CAP))
+        self.mu, self.sigma = mu[:, None], sigma[:, None]  # (n, 1)
+        n, m = self.weights.shape
+        h0 = np.zeros((n, m + 1))
+        h0[:, -1] = np.inf
+        if m > 1:
+            h0[:, 1:-1] = self.h0(path.boundaries[1:-1])
+        self.start = h0[:, :-1]
+        self.spent = np.zeros((n, m))
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.capacity = self._spend(h0[:, 1:], self.start, slice(None))
+            if m > 1:
+                np.cumsum(self.capacity[:, :-1], axis=1, out=self.spent[:, 1:])
+
+    def _spend(self, hi: np.ndarray, lo: np.ndarray, j) -> np.ndarray:
+        """Hazard of the H0 increments hi - lo under the weights of intervals j,
+        run under np.errstate(invalid="ignore", over="ignore"): ``fmax`` makes
+        a negative increment and a NaN (inf - inf, 0 * inf) spend nothing."""
+        return np.fmax(self.weights[:, j] * (hi - lo), 0.0)
+
+    def _standardize(self, times: np.ndarray):
+        """log t as a (1, k) row, and z = (log t - mu) / sigma, (n, k)."""
+        logt = np.log(times)[None, :]
+        return logt, (logt - self.mu) / self.sigma
+
+    def h0(self, times: np.ndarray) -> np.ndarray:
+        """Integrated baseline rate per row at positive times, (n, k)."""
+        return -log_normal_survival(self._standardize(times)[1])
+
+    def baseline(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h0, log baseline rate log f0 + h0) per row at positive times, (n, k) each."""
+        logt, z = self._standardize(times)
+        h0 = -log_normal_survival(z)
+        log_pdf = -0.5 * np.log(2.0 * math.pi * self.sigma**2) - logt - 0.5 * z * z
+        return h0, log_pdf + h0
+
+    def log_survival(self, times: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
+        """-Lambda(t) per row at positive times, (n, k); ``h0`` is ``h0(times)``
+        when already at hand."""
+        if h0 is None:
+            h0 = self.h0(times)
+        j = self.path.interval(times)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return -(self.spent[:, j] + self._spend(h0, self.start[:, j], j))
+
+    def invert(self, rows, target) -> np.ndarray:
+        """Times t with Lambda(t) = target[i] under table row rows[i], exact up
+        to rounding.
+
+        Each target walks the intervals, spending each one's capacity, until
+        it falls inside one; there it solves the lognormal integrated
+        baseline through the inverse log-CDF.  A target of +inf, a time past
+        the float range, or a row whose hazard underflows to zero gives +inf.
+        """
+        rows = np.asarray(rows)
+        remaining = np.array(target, dtype=float)
+        j = np.zeros(remaining.shape, dtype=np.intp)  # the interval each target falls in
+        # an infinite target gives inf - inf and inf / inf, a zero weight x / 0,
+        # and an event beyond any horizon overflows exp: each ends at +inf
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for k in range(self.weights.shape[1] - 1):
+                cap = self.capacity[rows, k]
+                beyond = (j == k) & ~(remaining <= cap)
+                remaining = np.where(beyond, remaining - cap, remaining)
+                j += beyond
+            hit = remaining <= self.capacity[rows, j]
+            # H0(t) = start + remaining / weight, through the inverse log-CDF
+            z = -sps.ndtri_exp(-(self.start[rows, j] + remaining / self.weights[rows, j]))
+            t = np.exp(self.mu[rows, 0] + self.sigma[rows, 0] * z)
+        return np.where(hit, t, np.inf)

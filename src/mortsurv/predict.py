@@ -5,8 +5,8 @@ predictive reliability at t is the draw-average of exp(-Lambda(t)) and
 the predictive density is the draw-average of hazard times survival.
 The predictive law of one risk is thus a uniform mixture over the draws,
 sampled exactly: pick a draw, then invert its survival in closed form
-(``model.invert_cumulative_hazard``).  Draws falling beyond the
-configured horizon come back at the horizon, flagged as censored.
+(``model.PathHazard.invert``).  Draws falling beyond the configured
+horizon come back at the horizon, flagged as censored.
 
 ``RiskCurves.curves`` returns reliability and density from one pass over
 the (draws x times) grid.  Its baseline part does not depend on the loan,
@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sps
 
 from .mcmc import PosteriorSamples
-from .model import CovariatePath, RiskKind, invert_cumulative_hazard
+from .model import LOG_WEIGHT_CAP, CovariatePath, PathHazard, RiskKind
 
 __all__ = [
     "RiskCurves",
@@ -40,9 +39,10 @@ DEFAULT_HORIZON_FACTOR = 10.0
 class RiskCurves:
     """Posterior-predictive evaluator for one loan profile and one risk.
 
-    Precomputes per-draw weights exp(theta' x_j) and hazard capacities of
-    the covariate intervals, then evaluates survival and density on time
-    grids as (draws x times) arrays and samples event times.  Immutable.
+    Holds one ``model.PathHazard`` over the posterior draws, with weights
+    exp(theta' x_j) per draw and covariate interval, and averages it over
+    the draws: survival and density on time grids, and event times
+    sampled by inverting a picked draw's survival.  Immutable.
 
     ``curves`` gives reliability and density together.  Their baseline
     part (``baseline``: the integrated baseline rate and the log baseline
@@ -61,56 +61,24 @@ class RiskCurves:
         else:
             mu, sigma2, theta = samples.mu_prepay, samples.sigma2_prepay, samples.theta_prepay
         self.path, self.risk = path, risk
-        self._mu = mu[:, None]  # (G, 1)
-        self._sigma = np.sqrt(sigma2)[:, None]
-        self._etas = theta @ path.values.T  # (G, m)
-        self._bounds = path.boundaries
-        with np.errstate(over="ignore"):
-            self._weights = np.exp(self._etas)
-        # per draw and interval: integrated baseline at its start, hazard spent before it
-        zero = np.zeros((self.n_draws, 1))
-        self._h0_start = np.concatenate((zero, self._h0(self._bounds[1:-1])), axis=1)
-        spent = self._spend(np.diff(self._h0_start, axis=1), slice(0, -1))
-        self._spent = np.concatenate((zero, np.cumsum(spent, axis=1)), axis=1)
+        # capped as the table caps the weights: the density is then minus the
+        # derivative of the reliability
+        self._etas = np.minimum(theta @ path.values.T, LOG_WEIGHT_CAP)  # (G, m)
+        self.hazard = PathHazard(path, np.exp(self._etas), mu, np.sqrt(sigma2))
 
     @property
     def n_draws(self) -> int:
-        return self._mu.shape[0]
-
-    def _h0(self, t: np.ndarray) -> np.ndarray:
-        """Integrated baseline rate at positive times, per draw: (G, k)."""
-        z = (np.log(t)[None, :] - self._mu) / self._sigma
-        return -sps.log_ndtr(-z)
-
-    def _spend(self, piece: np.ndarray, j) -> np.ndarray:
-        """Hazard of baseline increments ``piece`` under the weights of intervals j."""
-        np.maximum(piece, 0.0, out=piece)
-        with np.errstate(invalid="ignore", over="ignore"):
-            contrib = self._weights[:, j] * piece
-        return np.where(np.isnan(contrib), 0.0, contrib)  # inf weight, empty piece
-
-    def _log_survival(self, times: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
-        """-Lambda(t) per draw on a positive time grid, (G, k), from the
-        integrated baseline at the times (``h0``, reused when given)."""
-        if h0 is None:
-            h0 = self._h0(times)
-        j = self.path.interval(times)
-        return -(self._spent[:, j] + self._spend(h0 - self._h0_start[:, j], j))
+        return self.hazard.mu.shape[0]
 
     def reliability(self, times) -> np.ndarray:
         """Draw-averaged survival on a grid of positive times."""
         times = _check_times(times)
-        return np.exp(self._log_survival(times)).mean(axis=0)
+        return np.exp(self.hazard.log_survival(times)).mean(axis=0)
 
     def baseline(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Per draw on a grid of positive times, (G, k) each: the integrated
         baseline rate h0 and the log baseline hazard log f0 + h0."""
-        times = _check_times(times)
-        logt = np.log(times)[None, :]
-        z = (logt - self._mu) / self._sigma
-        h0 = -sps.log_ndtr(-z)
-        log_pdf = -0.5 * np.log(2.0 * math.pi * self._sigma**2) - logt - 0.5 * z * z
-        return h0, log_pdf + h0
+        return self.hazard.baseline(_check_times(times))
 
     def curves(self, times, baseline=None) -> tuple[np.ndarray, np.ndarray]:
         """Draw-averaged (reliability, density) on a grid of positive times.
@@ -124,21 +92,16 @@ class RiskCurves:
             raise ValueError(
                 f"baseline has shape {h0.shape}, grid needs {(self.n_draws, times.size)}"
             )
-        log_s = self._log_survival(times, h0)
+        log_s = self.hazard.log_survival(times, h0)
         eta_at_t = self._etas[:, self.path.interval(times)]
         with np.errstate(over="ignore"):
             density = np.exp(log_rate + eta_at_t + log_s).mean(axis=0)
         return np.exp(log_s).mean(axis=0), density
 
-    def invert(self, g: np.ndarray, cumhaz: np.ndarray) -> np.ndarray:
-        """Times at which draw g[i]'s cumulative hazard reaches cumhaz[i]."""
-        mu, sigma = self._mu[g, 0], self._sigma[g, 0]
-        return invert_cumulative_hazard(self._bounds, self._weights[g], mu, sigma, cumhaz)
-
     def event_times(self, g: np.ndarray, u: np.ndarray, horizon: float):
         """Where draw g[i]'s survival falls to u[i], as (times, censored): capped at the horizon."""
         with np.errstate(divide="ignore"):
-            t = self.invert(g, -np.log(u))
+            t = self.hazard.invert(g, -np.log(u))
         censored = t > horizon
         return np.where(censored, horizon, t), censored
 

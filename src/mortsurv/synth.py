@@ -4,9 +4,9 @@ Event times are drawn by exact inversion of each risk's survival
 function: with total hazard target -log(u), walk the covariate-constant
 intervals until the target falls inside one, then solve the lognormal
 integrated baseline in closed form via the inverse log-CDF.  The walk is
-``model.invert_cumulative_hazard``, the kernel prediction samples with
-too.  No discretization or rejection is involved, so simulated data
-follow the model law to floating-point accuracy.
+``model.PathHazard.invert``, the kernel prediction samples with too.  No
+discretization or rejection is involved, so simulated data follow the
+model law to floating-point accuracy.
 
 Each loan gets its own RNG substream, ``SeedSequence(seed,
 spawn_key=(i,))``, making generation order-free and reproducible loan by
@@ -22,14 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    LOG_WEIGHT_CAP,
     CovariatePath,
     Dataset,
     LognormalBaseline,
     LoanObservation,
     LoanStatus,
     ModelParams,
+    PathHazard,
     RiskKind,
-    invert_cumulative_hazard,
 )
 
 __all__ = [
@@ -54,14 +55,10 @@ def invert_survival(
         raise ValueError(f"u must be in [0, 1), got {u}")
     # math.exp and math.log, not their numpy forms, which round differently
     # in the last bit: simulated datasets stay byte-stable
-    weights = [math.exp(min(eta, 700.0)) for eta in path.values @ np.asarray(theta, dtype=float)]
-    t = invert_cumulative_hazard(
-        path.boundaries,
-        np.array([weights]),
-        np.array([baseline.mu]),
-        np.array([baseline.sigma]),
-        np.array([-math.log(u) if u > 0.0 else math.inf]),
-    )
+    etas = path.values @ np.asarray(theta, dtype=float)
+    weights = np.array([[math.exp(min(eta, LOG_WEIGHT_CAP)) for eta in etas]])
+    hazard = PathHazard(path, weights, np.array([baseline.mu]), np.array([baseline.sigma]))
+    t = hazard.invert([0], [-math.log(u) if u > 0.0 else math.inf])
     return float(t[0])
 
 

@@ -395,6 +395,40 @@ def test_importing_the_cli_leaves_out_scipy_optimize_and_linalg():
     assert out.stdout == "[]\n"
 
 
+def test_fit_says_on_stderr_when_the_mode_search_stops_short(tmp_path, capsys):
+    """Nearly flat priors on the criterion-4 book leave both risks' Newton
+    searches above their tolerance: the command says so in one stderr line
+    per risk, naming the risk and the decrement, and still exits 0 under
+    --allow-nonconverged."""
+    sim, fit = tmp_path / "sim.json", tmp_path / "fit.json"
+    sim.write_text(json.dumps({
+        "n_loans": 2000, "n_covariates": 3, "seed": 20260819, "maturity": 30.0,
+        "censor_time": None,
+        "true": {"mu_default": 2.8, "sigma2_default": 0.81, "mu_prepay": 1.6,
+                 "sigma2_prepay": 0.49, "theta_default": [-0.6, 0.5, -0.4, 0.3],
+                 "theta_prepay": [0.3, -0.2, 0.4, -0.25]},
+    }))
+    fit.write_text(json.dumps({
+        "prior": {"theta_sd": 1e4, "mu_sd": 1e4, "sigma2_rate": 1e4},
+        "sampler": {"n_chains": 2, "n_iters": 4, "burn_in": 2, "thin": 1, "seed": 1},
+    }))
+    assert main(["simulate", "--config", str(sim), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    src = str(Path(mortsurv.__file__).resolve().parents[1])
+    argv = ["fit", "--dataset", str(tmp_path / "dataset.csv"), "--config", str(fit),
+            "--allow-nonconverged", "--out-dir", str(tmp_path / "fit")]
+    out = subprocess.run([sys.executable, "-m", "mortsurv.cli", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    said = [line for line in out.stderr.splitlines() if "mode search" in line]
+    assert len(said) == 2, out.stderr
+    for risk, line in zip(("default", "prepay"), said):
+        prefix = (f"{risk} risk: the mode search stopped short of the mode, "
+                  "squared Newton decrement ")
+        assert line.startswith(prefix) and line.endswith(" (tolerance 0.0001)"), line
+        assert float(line[len(prefix):].split()[0]) > 1.0, line
+
+
 def test_threads_flag_is_accepted_and_ignored(tmp_path, sim_outputs, fit_config,
                                               capsys):
     a = tmp_path / "plain"

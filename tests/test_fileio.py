@@ -322,3 +322,38 @@ def test_simulate_config_integer_for_a_number_reads_as_float(tmp_path):
     _, truth = make_benchmark(cfg)
     write_truth_json(truth, tmp_path / "truth.json")
     assert '"maturity": 30.0' in (tmp_path / "truth.json").read_text()
+
+
+def _non_utf8_files(tmp_path):
+    """Over 64 KiB of valid text for each reader: (name, path, read)."""
+    from mortsurv.ingest import load_default_schema, read_origination_file
+
+    from test_ingest import orow
+
+    dataset = tmp_path / "dataset.csv"
+    write_csv(dataset, ["loan_id", "status", "time", "maturity", "obs_time", "x"],
+              ([f"L{i:05d}", "active", 1.0, 30.0, 1.0, 0.5] for i in range(4000)))
+    config = tmp_path / "fit.json"
+    config.write_text('{"sampler": {"seed": 1}' + "\n" * 70_000 + "}", encoding="utf-8")
+    raw = tmp_path / "orig.txt"
+    raw.write_text("".join(orow(lid=f"L{i:05d}") + "\n" for i in range(1500)), encoding="utf-8")
+    schema = load_default_schema()
+    return [
+        ("dataset CSV", dataset, read_dataset_csv),
+        ("JSON", config, read_fit_config),
+        ("raw file", raw, lambda path: read_origination_file(path, schema)),
+    ]
+
+
+@pytest.mark.parametrize("reader", ["dataset CSV", "JSON", "raw file"])
+def test_non_utf8_byte_past_64k_is_reported_at_its_line_and_offset(tmp_path, reader):
+    (_, path, read), = [f for f in _non_utf8_files(tmp_path) if f[0] == reader]
+    data = path.read_bytes()
+    offset = data.index(b"\n", 66_000) + 1
+    path.write_bytes(data[:offset] + b"\xe9" + data[offset:])
+    line = data.count(b"\n", 0, offset) + 1
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value).startswith(
+        f"{path}:{line}: 'utf-8' codec can't decode byte 0xe9 at offset {offset}: "
+    ), str(exc.value)

@@ -149,8 +149,22 @@ def _edited(doc, path: tuple, value=_DELETE):
     return doc
 
 
+_MARK = "\0repeat"
+
+
+def _repeating(doc, path: tuple) -> str:
+    """``doc`` as JSON text in which the object at ``path`` gives its first key twice."""
+    target = doc
+    for key in path:
+        target = target[key]
+    first, value = next(iter(target.items()))
+    text = json.dumps(_edited(doc, (*path, _MARK), value))
+    return text.replace(json.dumps(_MARK), json.dumps(first), 1)
+
+
 def _mutations():
-    """(section, what was done, document, key path, whether it must be refused)."""
+    """(section, what was done, document or its JSON text, key path, whether it
+    must be refused)."""
     for section in sorted(FILE_READERS):
         for text in _json_blocks()[section]:
             doc = json.loads(text)
@@ -168,6 +182,9 @@ def _mutations():
                     added = (*path, "no_such_key")
                     sibling = next(iter(value.values()), 0)
                     yield section, "unknown", _edited(doc, added, sibling), added, True
+                if isinstance(value, dict) and value:
+                    repeated = (*path, next(iter(value)))
+                    yield section, "repeat", _repeating(doc, path), repeated, True
 
 
 def _names_path(message: str, path: tuple) -> bool:
@@ -192,10 +209,10 @@ MUTATIONS = list(_mutations())
 def test_json_format_names_the_key_of_every_bad_value(tmp_path, section, change, doc, path,
                                                       refused):
     """Deleting a required key, ``true`` or a string where a number or list
-    belongs, and an unknown key each raise ValueError naming the file and
-    the key path; deleting an optional key still reads."""
+    belongs, an unknown key and a repeated key each raise ValueError naming
+    the file and the key path; deleting an optional key still reads."""
     file = tmp_path / "doc.json"
-    file.write_text(json.dumps(doc), encoding="utf-8")
+    file.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     if not refused:
         FILE_READERS[section](file)
         return

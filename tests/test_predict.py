@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sps
 from scipy import stats
 
@@ -23,7 +25,7 @@ from mortsurv import (
     sample_event_time,
 )
 from mortsurv.diagnostics import _MixtureGrid
-from mortsurv.model import _integrated_baseline, invert_cumulative_hazard
+from mortsurv.model import PathHazard, _integrated_baseline
 from mortsurv.predict import RiskCurves, _exact_partition
 
 from conftest import params_small, samples_at
@@ -175,12 +177,60 @@ def test_kernel_equals_scalar_walk_element_by_element(name):
         synth_t.append(invert_survival(path, theta[i], base, float(u[i])))
         weights.append([math.exp(min(e, 700.0)) for e in path.values @ theta[i]])
     with np.errstate(divide="ignore"):  # sqrt(sigma**2): the sigma the baselines carry
-        kernel = invert_cumulative_hazard(
-            path.boundaries, np.array(weights), mu, np.sqrt(sigma**2), -np.log(u)
+        kernel = PathHazard(path, np.array(weights), mu, np.sqrt(sigma**2)).invert(
+            np.arange(n), -np.log(u)
         )
     assert np.array_equal(kernel, ref)
     assert np.array_equal(synth_t, ref)
     assert np.all(np.isinf(kernel[u == 0.0])) and np.all(np.isfinite(kernel[u > 0.0]))
+
+
+_ROW = st.tuples(
+    st.floats(-3.0, 6.0),  # mu
+    st.floats(0.05, 3.0),  # sigma
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),  # theta
+    st.sampled_from([0.0, 0.0, 800.0, -800.0]),  # added to the intercept: eta > 700, weight 0
+    st.floats(-6.0, math.log10(50.0)),  # log10 of the target
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_KERNEL_PATHS)), rows=st.lists(_ROW, min_size=1, max_size=40))
+def test_path_hazard_inverse_and_forward_agree(name, rows):
+    path = _KERNEL_PATHS[name]
+    mu, sigma, theta, shift, log_target = (np.array(col, dtype=float) for col in zip(*rows))
+    theta[:, 0] += shift
+    with np.errstate(over="ignore", under="ignore"):
+        weights = np.exp(theta @ path.values.T)
+    hazard = PathHazard(path, weights, mu, sigma)
+    n = mu.size
+    target = 10.0**log_target
+    t = hazard.invert(np.arange(n), target)
+    assert np.all(np.isinf(t[shift < 0.0]))  # no hazard: the event never happens
+    ok = np.flatnonzero(np.isfinite(t))
+    cumhaz = -hazard.log_survival(t[ok])[ok, np.arange(ok.size)]
+    assert np.allclose(cumhaz, target[ok], rtol=1e-10, atol=0.0), (t[ok], cumhaz, target[ok])
+    assert np.all(np.isinf(hazard.invert(np.arange(n), np.full(n, np.inf))))
+
+
+def test_classify_evaluates_the_boundaries_once_per_draw_not_per_simulation(monkeypatch):
+    counted = []
+    log_ndtr = sps.log_ndtr
+
+    def counting(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return log_ndtr(x, *args, **kwargs)
+
+    monkeypatch.setattr(sps, "log_ndtr", counting)
+    path = CovariatePath(obs_times=np.array([0.8, 2.0, 5.0]),
+                         values=np.array([[1.0, 0.5, -1.2], [1.0, 0.8, 0.3], [1.0, -1.5, 2.0]]))
+    samples = samples_at(params_small(3), n_draws=20, n_chains=2, jitter=0.1, seed=2)
+    evaluated = []
+    for n_sims in (100, 10_000):
+        counted.clear()
+        classify(path, samples, 30.0, n_sims, np.random.default_rng(1))
+        evaluated.append(sum(counted))
+    assert evaluated[0] == evaluated[1] > 0
 
 
 def test_event_times_cap_at_horizon_and_match_kernel(spread_samples, two_interval_path):
@@ -316,18 +366,18 @@ def test_times_must_be_positive(point_samples, two_interval_path):
 
 def _parent_reliability(curves, times):
     """``RiskCurves.reliability`` as it was before ``curves`` existed."""
-    return np.exp(curves._log_survival(times)).mean(axis=0)
+    return np.exp(curves.hazard.log_survival(times)).mean(axis=0)
 
 
 def _parent_density(curves, times):
     """The deleted ``RiskCurves.density``, kept as the reference for ``curves``."""
     logt = np.log(times)[None, :]
-    z = (logt - curves._mu) / curves._sigma
+    z = (logt - curves.hazard.mu) / curves.hazard.sigma
     h0 = -sps.log_ndtr(-z)
-    log_pdf = -0.5 * np.log(2.0 * math.pi * curves._sigma**2) - logt - 0.5 * z * z
-    eta_at_t = curves._etas[:, np.searchsorted(curves._bounds, times, side="left") - 1]
+    log_pdf = -0.5 * np.log(2.0 * math.pi * curves.hazard.sigma**2) - logt - 0.5 * z * z
+    eta_at_t = curves._etas[:, np.searchsorted(curves.path.boundaries, times, side="left") - 1]
     with np.errstate(over="ignore"):
-        return np.exp(log_pdf + h0 + eta_at_t + curves._log_survival(times, h0)).mean(axis=0)
+        return np.exp(log_pdf + h0 + eta_at_t + curves.hazard.log_survival(times, h0)).mean(axis=0)
 
 
 # the step path's grid also hits each covariate boundary
