@@ -114,9 +114,16 @@ def cmd_fit(args) -> int:
             file=sys.stderr,
         )
         return 0
-    worst = max((r.rhat for r in rows if np.isfinite(r.rhat)), default=float("nan"))
-    if np.isfinite(worst) and worst > RHAT_GATE:
-        bad = [r.name for r in rows if np.isfinite(r.rhat) and r.rhat > RHAT_GATE]
+    if config.n_kept < 4:
+        print(
+            "convergence gate: not evaluated (split R-hat needs at least 4 kept draws per chain)",
+            file=sys.stderr,
+        )
+        return 0
+    # NaN (constant draws) is skipped; +inf (stuck chains) fails the gate
+    worst = max((r.rhat for r in rows if not math.isnan(r.rhat)), default=math.nan)
+    if worst > RHAT_GATE:
+        bad = [r.name for r in rows if r.rhat > RHAT_GATE]
         print(
             f"convergence gate: split R-hat > {RHAT_GATE} for {', '.join(bad)} "
             f"(worst {worst:.3f})",

@@ -199,7 +199,10 @@ def read_dataset_csv(path) -> Dataset:
             loans.append(LoanObservation(loan_id, status, time, covariates, maturity))
         except ValueError as exc:
             raise ValueError(f"{path}:{start + 2}: {exc}") from None
-    return Dataset(loans=tuple(loans), schema=schema)
+    try:
+        return Dataset(loans=tuple(loans), schema=schema)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- posterior draws ----------------------------------------------------------

@@ -61,6 +61,7 @@ __all__ = [
     "fit_preprocess",
     "build_design",
     "ingest_portfolio",
+    "JudicialStates",
     "load_judicial_states",
     "load_default_schema",
 ]
@@ -154,24 +155,29 @@ def _check_keys(what: str, d: dict, known: tuple[str, ...], required: tuple[str,
         raise IngestError(f"unknown keys {unknown}; valid keys are {list(known)}")
 
 
+@dataclass(frozen=True)
+class JudicialStates:
+    """The judicial states JSON: a versioned list of state codes."""
+
+    version: int
+    states: tuple[str, ...]
+
+
+def _load_packaged(cls, filename: str, what: str):
+    """The packaged JSON file ``filename`` decoded as ``cls`` by ``from_json``."""
+    text = resources.files("mortsurv.data").joinpath(filename).read_text()
+    return from_json(cls, json.loads(text, object_pairs_hook=json_object), what)
+
+
 def load_default_schema() -> FileSchema:
     """The packaged schema for the public single-family sample file layout."""
-    text = resources.files("mortsurv.data").joinpath("freddie_sample_schema.json").read_text()
-    obj = json.loads(text, object_pairs_hook=json_object)
-    return from_json(FileSchema, obj, "input file schema")
+    return _load_packaged(FileSchema, "freddie_sample_schema.json", "input file schema")
 
 
 def load_judicial_states() -> frozenset[str]:
     """Packaged table of states where foreclosure runs through the courts."""
-    text = resources.files("mortsurv.data").joinpath("judicial_states.json").read_text()
-    return judicial_states_from_json_dict(json.loads(text))
-
-
-def judicial_states_from_json_dict(d: dict) -> frozenset[str]:
-    """State codes from a judicial states JSON object (``{"version", "states"}``)."""
-    if not isinstance(d, dict) or "states" not in d:
-        raise IngestError('judicial states: missing required key "states"')
-    return frozenset(d["states"])
+    table = _load_packaged(JudicialStates, "judicial_states.json", "judicial states JSON")
+    return frozenset(table.states)
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,11 @@ class BaselineParts:
 class PortfolioLikelihood:
     """Precomputed-array evaluator for a fixed dataset.
 
-    Construction walks the dataset once, flattening every loan's active
-    covariate segments (shared by both risks) and collecting per-risk event
-    times and event covariates.  It then indexes every segment end and
-    every event time into the sorted distinct positive boundary times, so
+    Construction concatenates every loan's covariate intervals and keeps,
+    in one array pass, those that start before the loan's time, cut to end
+    at it: the segments, shared by both risks.  Each event is a gather at
+    its loan's last segment.  Every segment end, event times included, is
+    indexed into the sorted distinct positive boundary times, so
     ``baseline_parts`` costs one log-survival pass over the U distinct
     times plus gathers, however many segments share them.  Instances are
     immutable after construction, so all chains share one.
@@ -81,34 +82,22 @@ class PortfolioLikelihood:
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
-        p = dataset.p
+        loans = dataset.loans
+        paths = [loan.covariates for loan in loans]
+        time = np.array([loan.time for loan in loans], dtype=float)
+        risks = [loan.status.risk for loan in loans]
 
-        seg_lo: list[np.ndarray] = []
-        seg_hi: list[np.ndarray] = []
-        seg_x: list[np.ndarray] = []
-        event_t = {RiskKind.DEFAULT: [], RiskKind.PREPAY: []}
-        event_x = {RiskKind.DEFAULT: [], RiskKind.PREPAY: []}
-
-        for loan in dataset.loans:
-            path = loan.covariates
-            t = loan.time
-            bounds = path.boundaries
-            active = bounds[:-1] < t
-            seg_lo.append(bounds[:-1][active])
-            seg_hi.append(np.minimum(bounds[1:][active], t))
-            seg_x.append(path.values[active])
-            risk = loan.status.risk
-            if risk is not None:
-                event_t[risk].append(t)
-                event_x[risk].append(covariate_at(path, t))
-
-        lo = _concat(seg_lo, (0,))
-        hi = _concat(seg_hi, (0,))
-        self._seg_x = _concat(seg_x, (0, p))
-        self._event_t = {r: np.asarray(event_t[r], dtype=float) for r in event_t}
-        self._event_x = {
-            r: _concat([np.atleast_2d(x) for x in event_x[r]], (0, p)) for r in event_x
-        }
+        # every interval of every path in dataset order (an empty first part
+        # gives the empty book its shapes), each beside its loan's time; the
+        # active ones start before that time and are cut to end at it
+        lo = np.concatenate([np.empty(0)] + [path.boundaries[:-1] for path in paths])
+        hi = np.concatenate([np.empty(0)] + [path.boundaries[1:] for path in paths])
+        x = np.concatenate([np.empty((0, dataset.p))] + [path.values for path in paths])
+        t = np.repeat(time, [path.m for path in paths])
+        active = lo < t
+        lo, t = lo[active], t[active]
+        hi = np.minimum(hi[active], t)
+        self._seg_x = x[active]
 
         # every segment end is positive; a start is 0 (first segment, where
         # H0(0) = 0 needs no lookup) or an inner covariate boundary
@@ -117,8 +106,14 @@ class PortfolioLikelihood:
         self._hi_idx = np.searchsorted(times, hi)
         self._inner = np.flatnonzero(lo > 0.0)
         self._inner_lo_idx = np.searchsorted(times, lo[self._inner])
-        # an event time is its loan's last segment end, so it is one of the times
-        self._event_idx = {r: np.searchsorted(times, self._event_t[r]) for r in self._event_t}
+        # a loan's last segment ends at its time (the others end at an inner
+        # boundary below it) and holds the covariates in force there, the
+        # earlier interval's for a time on an interior boundary
+        last = np.flatnonzero(hi == t)
+        event = {r: last[np.array([s is r for s in risks], dtype=bool)] for r in RiskKind}
+        self._event_t = {r: hi[i] for r, i in event.items()}
+        self._event_x = {r: self._seg_x[i] for r, i in event.items()}
+        self._event_idx = {r: self._hi_idx[i] for r, i in event.items()}
         for arr in (self._seg_x, self._log_times, self._hi_idx, self._inner, self._inner_lo_idx):
             arr.setflags(write=False)
         for d in (self._event_t, self._event_x, self._event_idx):
@@ -264,12 +259,6 @@ class PortfolioLikelihood:
         return self.risk_loglik(
             RiskKind.DEFAULT, params.theta_default, params.baseline_default
         ) + self.risk_loglik(RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay)
-
-
-def _concat(parts: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
-    if not parts:
-        return np.empty(empty_shape)
-    return np.concatenate(parts, axis=0).astype(float)
 
 
 def loan_loglik(loan: LoanObservation, params: ModelParams) -> float:

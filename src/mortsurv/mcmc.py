@@ -677,7 +677,8 @@ def split_rhat(chains: np.ndarray) -> float:
 
     Each chain is halved, and the usual between/within variance ratio is
     taken over the 2C half-chains.  Returns NaN when fewer than 4 draws
-    per chain are available or the draws are constant.
+    per chain are available or all draws are one constant, and +inf when
+    each half-chain is constant but they differ (stuck chains).
     """
     chains = np.asarray(chains, dtype=float)
     if chains.ndim != 2:
@@ -689,7 +690,7 @@ def split_rhat(chains: np.ndarray) -> float:
     w = float(np.mean(np.var(seq, axis=1, ddof=1)))
     b = half * float(np.var(np.mean(seq, axis=1), ddof=1))
     if not (w > 0.0):
-        return math.nan
+        return math.inf if b > 0.0 else math.nan
     var_hat = (half - 1) / half * w + b / half
     return math.sqrt(var_hat / w)
 

@@ -294,6 +294,9 @@ class Dataset:
         p = len(self.schema)
         if p == 0:
             raise ValueError("schema must name at least one covariate column")
+        for j, name in enumerate(self.schema):
+            if name in self.schema[:j]:
+                raise ValueError(f"covariate column {name!r} is repeated in the schema")
         for loan in self.loans:
             if loan.covariates.p != p:
                 raise ValueError(

@@ -7,10 +7,12 @@ stay simple; the console entry point is the same function.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from mortsurv.fileio import (
     write_dataset_csv,
     write_draws_csv,
 )
+from mortsurv.mcmc import summarize
 from mortsurv.predict import predictive_density, predictive_reliability
 
 from conftest import params_small, samples_at
@@ -591,6 +594,52 @@ def test_single_chain_fit_says_gate_not_evaluated(sim_outputs, tmp_path, capsys)
         "convergence gate: not evaluated (split R-hat needs at least 2 chains)\n")
     assert "convergence gate" not in captured.out
     assert (out / "summary.csv").exists()
+
+
+def test_fit_repeated_covariate_column_exits_4(sim_outputs, tmp_path, fit_config, capsys):
+    # repeated names would make the theta columns of draws.csv indistinct
+    lines = (sim_outputs / "dataset.csv").read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    header[5:] = ["x"] * (len(header) - 5)
+    bad = tmp_path / "repeated.csv"
+    bad.write_text(",".join(header) + "\n" + "".join(lines[1:]))
+    rc = main(["fit", "--dataset", str(bad), "--config", str(fit_config),
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"{bad}: covariate column 'x' is repeated in the schema" in err
+    assert not (tmp_path / "out" / "draws.csv").exists()
+
+
+def test_short_chain_fit_says_gate_not_evaluated(sim_outputs, tmp_path, capsys):
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({
+        "sampler": {"n_chains": 2, "n_iters": 43, "burn_in": 40, "thin": 1, "seed": 1},
+    }))
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(cfg), "--out-dir", str(tmp_path / "short")])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == (
+        "convergence gate: not evaluated "
+        "(split R-hat needs at least 4 kept draws per chain)\n")
+
+
+def test_fit_gate_trips_on_stuck_chains(sim_outputs, tmp_path, fit_config, capsys,
+                                        monkeypatch):
+    # stuck chains read R-hat +inf, which the gate must not skip as it skips
+    # the NaN of draws that are all one constant
+    def stuck(samples):
+        rows = summarize(samples)
+        return [replace(r, rhat=math.inf if i == 4 else math.nan) for i, r in enumerate(rows)]
+
+    monkeypatch.setattr("mortsurv.cli.summarize", stuck)
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(fit_config), "--out-dir", str(tmp_path / "stuck")])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.err == (
+        "convergence gate: split R-hat > 1.1 for theta_default:intercept (worst inf)\n")
 
 
 def test_fit_config_block_not_an_object_exits_4(sim_outputs, tmp_path, capsys):

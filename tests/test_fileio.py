@@ -243,7 +243,7 @@ def _loans(draw, loan_id: str, p: int) -> LoanObservation:
 
 @st.composite
 def _datasets(draw) -> Dataset:
-    schema = draw(st.lists(_NAMES, min_size=1, max_size=3))
+    schema = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
     ids = draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
     return Dataset(loans=tuple(draw(_loans(i, len(schema))) for i in ids), schema=schema)
 

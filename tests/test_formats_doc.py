@@ -12,8 +12,8 @@ import pytest
 from mortsurv import fileio
 from mortsurv.ingest import (
     FileSchema,
+    JudicialStates,
     PreprocessSpec,
-    judicial_states_from_json_dict,
     load_default_schema,
     load_judicial_states,
 )
@@ -46,6 +46,8 @@ FILE_READERS = {
     "fit config JSON": fileio.read_fit_config,
     "preprocess JSON": lambda path: fileio.read_json(PreprocessSpec, path, "preprocess JSON"),
     "input file schema JSON": lambda path: fileio.read_json(FileSchema, path, "input file schema"),
+    "judicial states JSON": lambda path: fileio.read_json(JudicialStates, path,
+                                                          "judicial states JSON"),
 }
 
 
@@ -73,7 +75,8 @@ def _file_schema(d, tmp_path):
 
 
 def _judicial(d, tmp_path):
-    assert judicial_states_from_json_dict(d) == load_judicial_states()
+    table = _via_file(FILE_READERS["judicial states JSON"])(d, tmp_path)
+    assert frozenset(table.states) == load_judicial_states()
 
 
 READERS = {
@@ -110,6 +113,7 @@ REQUIRED = {
     "input file schema JSON": ["origination_columns", "performance_columns",
                                "origination_columns.loan_id", "performance_columns.loan_id",
                                "performance_columns.reporting_date"],
+    "judicial states JSON": ["version", "states"],
 }
 # objects whose keys are data (raw category levels), not fields: any key may
 # be added to or deleted from them

@@ -19,6 +19,7 @@ from mortsurv import (
     ModelParams,
     PortfolioLikelihood,
     RiskKind,
+    covariate_at,
     loan_loglik,
     total_loglik,
 )
@@ -203,22 +204,28 @@ def _reference_log_hazard(t, baseline):
 
 
 def _per_segment_baseline_parts(dataset, risk, baseline):
-    """Reference: every segment and event evaluated on its own, in dataset order."""
-    lo, hi, events = [], [], []
+    """Reference: every segment and event evaluated on its own, in dataset
+    order.  Returns the event log-hazard sum and each segment's integrated
+    baseline, then each segment's covariates, each event's time and the
+    covariates in force at it."""
+    lo, hi, seg_x, events, event_x = [], [], [], [], []
     for loan in dataset.loans:
         bounds = loan.covariates.boundaries
         active = bounds[:-1] < loan.time
         lo.append(bounds[:-1][active])
         hi.append(np.minimum(bounds[1:][active], loan.time))
+        seg_x.extend(loan.covariates.values[active])
         if loan.status.risk is risk:
             events.append(loan.time)
+            event_x.append(covariate_at(loan.covariates, loan.time))
     lo = np.concatenate(lo) if lo else np.empty(0)
     hi = np.concatenate(hi) if hi else np.empty(0)
     t = np.asarray(events, dtype=float)
     logr_sum = float(np.sum(_reference_log_hazard(t, baseline))) if t.size else 0.0
     cumhaz = _integrated_baseline(hi, baseline) - _integrated_baseline(lo, baseline)
     np.maximum(cumhaz, 0.0, out=cumhaz)
-    return logr_sum, cumhaz
+    p = dataset.p
+    return logr_sum, cumhaz, np.reshape(seg_x, (-1, p)), t, np.reshape(event_x, (-1, p))
 
 
 def _monthly_book(with_defaults: bool) -> Dataset:
@@ -256,10 +263,21 @@ def test_baseline_parts_bitwise_equal_per_segment_formula(book):
     for mu, sigma2 in [(2.817, 0.927), (1.578, 0.514), (-3.0, 0.01), (6.0, 9.0)]:
         baseline = LognormalBaseline(mu, sigma2)
         for risk in RiskKind:
-            want_logr, want_cumhaz = _per_segment_baseline_parts(dataset, risk, baseline)
+            want_logr, want_cumhaz, *_ = _per_segment_baseline_parts(dataset, risk, baseline)
             got = like.baseline_parts(risk, baseline)
             assert got.seg_cumhaz.tobytes() == want_cumhaz.tobytes()
             assert got.event_logr_sum == want_logr
+    # the coefficient part and the event times, from each segment's and each
+    # event's covariates (``covariate_at``: an exit on a boundary takes the
+    # earlier row), bit for bit
+    for risk in RiskKind:
+        *_, seg_x, event_t, event_x = _per_segment_baseline_parts(
+            dataset, risk, LognormalBaseline(0.0, 1.0))
+        assert like.event_times(risk).tobytes() == event_t.tobytes()
+        for theta in np.array([[0.3, -0.2], [-1.7, 2.4], [40.0, -25.0]]):
+            got = like.coef_parts(risk, theta)
+            assert got.seg_weights.tobytes() == np.exp(seg_x @ theta).tobytes()
+            assert got.event_eta_sum == float(np.sum(event_x @ theta))
     if book == "no_defaults":
         assert like.n_events(RiskKind.DEFAULT) == 0
 

@@ -426,6 +426,13 @@ def test_degenerate_chains_signal_nan_not_fake_numbers():
     assert math.isnan(split_rhat(chains))
 
 
+def test_stuck_chains_read_infinite_rhat():
+    # each chain constant at its own value: no within-chain variance at all,
+    # yet the chains disagree, which is the worst failure to mix
+    chains = np.repeat([[1.0], [2.0], [3.0], [4.0]], 100, axis=1)
+    assert split_rhat(chains) == math.inf
+
+
 # --- summaries -----------------------------------------------------------------
 
 
