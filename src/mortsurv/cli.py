@@ -77,7 +77,7 @@ def cmd_simulate(args) -> None:
     out = _out_dir(args)
     dataset, truth = make_benchmark(config)
     fileio.write_dataset_csv(dataset, out / "dataset.csv")
-    fileio.write_truth_json(truth, out / "truth.json")
+    fileio.write_json(fileio.to_json(truth), out / "truth.json")
     print(f"wrote {dataset.n_loans} loans to {out / 'dataset.csv'}")
     for status in LoanStatus:
         print(f"  {status.value}: {dataset.count(status)}")
@@ -250,19 +250,19 @@ def cmd_ingest(args) -> int:
         schema = fileio.read_json(FileSchema, args.schema, "input file schema")
     else:
         schema = None
-    repurchase = ("N", "") if args.accept_blank_repurchase else ("N",)
+    blank = ("",) if args.accept_blank_repurchase else ()
     config = IngestConfig(
         data_end=args.data_end,
         maturity_years=args.maturity,
         min_category_freq=args.min_category_freq,
         max_reject_fraction=args.max_reject_fraction,
-        prepaid_repurchase_values=repurchase,
+        prepaid_repurchase_values=IngestConfig.prepaid_repurchase_values + blank,
     )
     out = _out_dir(args)
     result = ingest_portfolio(args.origination, args.performance, schema, config)
 
     fileio.write_dataset_csv(result.dataset, out / "dataset.csv")
-    fileio.write_json(result.preprocess.to_json_dict(), out / "preprocess.json")
+    fileio.write_json(fileio.to_json(result.preprocess), out / "preprocess.json")
     fileio.write_csv(
         out / "classified.csv",
         ["loan_id", "status", "time", "reason"],
@@ -347,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origination", required=True)
     p.add_argument("--performance", required=True)
     p.add_argument("--schema", default=None, help="file layout JSON (default: packaged sample layout)")
-    p.add_argument("--data-end", type=_month, default="201401",
+    p.add_argument("--data-end", type=_month, default=IngestConfig.data_end,
                    help="observation cutoff month, YYYYMM")
-    p.add_argument("--maturity", type=_positive_float, default=30.0,
+    p.add_argument("--maturity", type=_positive_float, default=IngestConfig.maturity_years,
                    help="contract maturity in years")
-    p.add_argument("--min-category-freq", default=0.01,
+    p.add_argument("--min-category-freq", default=IngestConfig.min_category_freq,
                    type=_checked(float, lambda v: 0 <= v < 1, "in [0, 1)"))
-    p.add_argument("--max-reject-fraction", default=0.10,
+    p.add_argument("--max-reject-fraction", default=IngestConfig.max_reject_fraction,
                    type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"))
     p.add_argument(
         "--accept-blank-repurchase",

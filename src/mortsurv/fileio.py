@@ -42,11 +42,11 @@ __all__ = [
     "read_draws_csv",
     "write_summary_csv",
     "write_acceptance_csv",
-    "write_truth_json",
     "read_truth_json",
     "read_fit_config",
     "read_simulate_config",
     "from_json",
+    "to_json",
     "read_json",
     "params_to_json_dict",
 ]
@@ -244,7 +244,12 @@ def read_draws_csv(path) -> PosteriorSamples:
         i, j = np.argwhere(bad)[0]
         need = "positive and finite" if j in variances else "finite"
         raise ValueError(f"{path}:{i + 2}: {names[j]} must be {need}, got {float(mat[i, j])!r}")
-    chain, iteration = np.array(meta, dtype=np.int64).T
+    try:
+        chain, iteration = np.array(meta, dtype=np.int64).T
+    except OverflowError:
+        i, j = next((i, j) for i, m in enumerate(meta) for j, v in enumerate(m)
+                    if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{path}:{i + 2}: {header[j]} must fit in int64, got {meta[i][j]}") from None
     return PosteriorSamples.from_matrix(schema, chain, iteration, mat)
 
 
@@ -263,7 +268,7 @@ def write_acceptance_csv(samples: PosteriorSamples, path) -> None:
     write_csv(path, ["chain", *blocks], rows)
 
 
-# --- JSON inputs --------------------------------------------------------------
+# --- JSON inputs and outputs --------------------------------------------------
 
 
 def params_to_json_dict(params: ModelParams) -> dict:
@@ -314,20 +319,15 @@ _SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"),
 
 
 class _JSONObject(dict):
-    """A parsed JSON object; ``repeated`` is its first key given twice, if any."""
+    """``object_pairs_hook`` for ``json.load``: a parsed JSON object that
+    keeps its first key given twice, if any, as ``repeated`` for
+    ``from_json`` to refuse (the hook cannot say where the object lies in
+    the document)."""
 
-    repeated = None
-
-
-def json_object(pairs: list) -> dict:
-    """``object_pairs_hook`` for ``json.load``: the object, with a repeated
-    key kept on it for ``from_json`` to refuse (the hook cannot say where
-    the object lies in the document)."""
-    obj = _JSONObject(pairs)
-    if len(obj) < len(pairs):
+    def __init__(self, pairs: list) -> None:
+        super().__init__(pairs)
         seen = set()
-        obj.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
-    return obj
+        self.repeated = next((k for k, _ in pairs if k in seen or seen.add(k)), None)
 
 
 def _describe(tp) -> str:
@@ -350,7 +350,7 @@ def _record(cls, obj, what: str):
         raise ValueError(f'{what}: repeated key "{obj.repeated}"')
     hints = typing.get_type_hints(cls)
     if typing.is_typeddict(cls):
-        names, required = {k: k for k in hints}, cls.__required_keys__
+        names, required = {k: k for k in hints}, [k for k in hints if k in cls.__required_keys__]
     else:
         fields = [f for f in dataclasses.fields(cls) if f.init]
         names = {f.metadata.get("json", f.name): f.name for f in fields}
@@ -404,9 +404,26 @@ def from_json(cls, obj, what: str):
     and an error from the class's own checks raise ValueError starting
     ``what: `` and naming the key path (``"columns.dti"``,
     ``"theta_default[1]"``); a nested object's path joins ``what``.  An
-    object parsed with ``json_object`` that repeats a key raises the same
+    object parsed with ``_JSONObject`` that repeats a key raises the same
     way, naming the key."""
     return _decode(cls, obj, what, "")
+
+
+def to_json(obj):
+    """Inverse of ``from_json``: ``obj`` as the JSON value it decodes from.
+    A dataclass becomes an object keyed by each init field's JSON name,
+    ``ModelParams`` its flat form (``params_to_json_dict``), a tuple or
+    list a list, and a dict is encoded by value."""
+    if isinstance(obj, ModelParams):
+        return params_to_json_dict(obj)
+    if dataclasses.is_dataclass(obj):
+        fields = (f for f in dataclasses.fields(obj) if f.init)
+        return {f.metadata.get("json", f.name): to_json(getattr(obj, f.name)) for f in fields}
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    return obj
 
 
 def read_json(cls, path, what: str):
@@ -415,25 +432,12 @@ def read_json(cls, path, what: str):
     JSON, and a repeated key, raise ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=json_object)
+            obj = json.load(fh, object_pairs_hook=_JSONObject)
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from None
     except ValueError as exc:  # JSONDecodeError
         raise ValueError(f"{path}: {exc}") from None
     return from_json(cls, obj, f"{path}: {what}")
-
-
-def write_truth_json(truth: TruthRecord, path) -> None:
-    write_json(
-        {
-            "params": params_to_json_dict(truth.params),
-            "schema": list(truth.schema),
-            "seed": truth.seed,
-            "maturity": truth.maturity,
-            "censor_time": truth.censor_time,
-        },
-        path,
-    )
 
 
 def read_truth_json(path) -> TruthRecord:

@@ -40,7 +40,7 @@ from typing import TypedDict
 
 import numpy as np
 
-from .fileio import from_json, json_object, utf8_error
+from .fileio import read_json, utf8_error
 from .model import CovariatePath, Dataset, LoanObservation, LoanStatus
 
 __all__ = [
@@ -111,23 +111,35 @@ def month_index(text: str, date_format: str) -> int:
     return year * 12 + month - 1
 
 
+# the keys of FileSchema's maps, which fileio.from_json checks: the column of
+# each field read, loan_id (and reporting_date) required, and the missing
+# codes of any origination field but loan_id
+class OriginationColumns(TypedDict("_Optional", dict.fromkeys(RECORD_FIELDS, int), total=False)):
+    loan_id: int
+
+
+class PerformanceColumns(
+    TypedDict("_Optional", dict.fromkeys(PERFORMANCE_FIELDS[2:], int), total=False)
+):
+    loan_id: int
+    reporting_date: int
+
+
+MissingCodes = TypedDict("MissingCodes", dict.fromkeys(RECORD_FIELDS, tuple[str, ...]), total=False)
+
+
 @dataclass(frozen=True)
 class FileSchema:
     """Column layout and missing-value codes for one pair of input files."""
 
-    origination_columns: dict[str, int]
-    performance_columns: dict[str, int]
+    origination_columns: OriginationColumns
+    performance_columns: PerformanceColumns
     delimiter: str = "|"
     has_header: bool = False
     date_format: str = "yyyymm"
-    missing_codes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    missing_codes: MissingCodes = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_keys("origination_columns", self.origination_columns, ("loan_id", *RECORD_FIELDS),
-                    required=("loan_id",))
-        _check_keys("performance_columns", self.performance_columns, PERFORMANCE_FIELDS,
-                    required=PERFORMANCE_FIELDS[:2])
-        _check_keys("missing_codes", self.missing_codes, RECORD_FIELDS)
         for key in ("origination_columns", "performance_columns"):
             for name, col in getattr(self, key).items():
                 if col < 0:
@@ -144,17 +156,6 @@ class FileSchema:
         return raw == "" or raw in self.missing_codes.get(fieldname, ())
 
 
-def _check_keys(what: str, d: dict, known: tuple[str, ...], required: tuple[str, ...] = ()):
-    """Raise IngestError naming a key of ``required`` missing from ``d``, or
-    the keys of ``d`` not ``known``."""
-    for key in required:
-        if key not in d:
-            raise IngestError(f'missing required key "{what}.{key}"')
-    unknown = [f"{what}.{key}" for key in sorted(set(d) - set(known))]
-    if unknown:
-        raise IngestError(f"unknown keys {unknown}; valid keys are {list(known)}")
-
-
 @dataclass(frozen=True)
 class JudicialStates:
     """The judicial states JSON: a versioned list of state codes."""
@@ -164,9 +165,9 @@ class JudicialStates:
 
 
 def _load_packaged(cls, filename: str, what: str):
-    """The packaged JSON file ``filename`` decoded as ``cls`` by ``from_json``."""
-    text = resources.files("mortsurv.data").joinpath(filename).read_text()
-    return from_json(cls, json.loads(text, object_pairs_hook=json_object), what)
+    """The packaged JSON file ``filename`` decoded as ``cls`` by ``fileio.read_json``."""
+    with resources.as_file(resources.files("mortsurv.data") / filename) as path:
+        return read_json(cls, path, what)
 
 
 def load_default_schema() -> FileSchema:
@@ -443,6 +444,11 @@ class CategoricalGrouping(TypedDict):
     map: dict[str, str]
 
 
+# every quantitative field's (mean, sd), and every categorical field's grouping
+Quantitative = TypedDict("Quantitative", dict.fromkeys(QUANT_FIELDS, tuple[float, float]))
+Categorical = TypedDict("Categorical", dict.fromkeys(CAT_FIELDS, CategoricalGrouping))
+
+
 @dataclass(frozen=True)
 class PreprocessSpec:
     """Frozen preprocessing decisions, serializable and replayable.
@@ -455,14 +461,10 @@ class PreprocessSpec:
     membership is copied in at fit time so a spec is self-contained.
     """
 
-    quantitative: dict[str, tuple[float, float]]
-    categorical: dict[str, CategoricalGrouping]
+    quantitative: Quantitative
+    categorical: Categorical
     judicial_states: tuple[str, ...]
     version: int = 1
-
-    def __post_init__(self) -> None:
-        _check_keys("quantitative", self.quantitative, QUANT_FIELDS, required=QUANT_FIELDS)
-        _check_keys("categorical", self.categorical, CAT_FIELDS, required=CAT_FIELDS)
 
     @property
     def schema(self) -> tuple[str, ...]:
@@ -475,14 +477,6 @@ class PreprocessSpec:
             f"{CAT_FIELDS[2]}:{lvl}" for lvl in self.categorical[CAT_FIELDS[2]]["columns"]
         )
         return tuple(cols)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "quantitative": {k: [v[0], v[1]] for k, v in self.quantitative.items()},
-            "categorical": self.categorical,
-            "judicial_states": list(self.judicial_states),
-        }
 
 
 def fit_preprocess(

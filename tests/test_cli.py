@@ -539,31 +539,31 @@ def test_ingest_schema_missing_columns_key_exits_4(tmp_path, capsys):
     orig.write_text(orow(lid="L001") + "\n")
     perf.write_text(prow(lid="L001", ym="200502", zb="01", rep="N") + "\n")
     good = json.loads((files("mortsurv.data") / "freddie_sample_schema.json").read_text())
-    cases = [  # (schema JSON, the key the error must name)
+    cases = [  # (schema JSON, how the error names the key: a map's keys in block form)
         ({"origination": {"loan_id": 19},
-          "performance": {"loan_id": 0, "reporting_date": 1}}, "origination_columns"),
-        ({**good, "origination_columns": [19]}, "origination_columns"),
-        ({**good, "delimiter": 5}, "delimiter"),
-        ({**good, "delimiter": ""}, "delimiter"),
+          "performance": {"loan_id": 0, "reporting_date": 1}}, '"origination_columns"'),
+        ({**good, "origination_columns": [19]}, "origination_columns: expected a JSON object"),
+        ({**good, "delimiter": 5}, '"delimiter"'),
+        ({**good, "delimiter": ""}, '"delimiter"'),
         ({**good, "origination_columns": {**good["origination_columns"], "dti": -1}},
-         "origination_columns.dti"),
+         '"origination_columns.dti"'),
         ({**good, "performance_columns": {**good["performance_columns"], "zero_balance": "x"}},
-         "performance_columns.zero_balance"),
+         'performance_columns: "zero_balance"'),
         ({**good, "origination_columns": {**good["origination_columns"], "upb": True}},
-         "origination_columns.upb"),
-        ({**good, "has_header": "false"}, "has_header"),
-        ({**good, "missing_codes": {"dti": "999"}}, "missing_codes.dti"),
-        ({**good, "missing_codes": ["dti"]}, "missing_codes"),
-        ({**good, "date_format": "mm/yyyy"}, "date_format"),
+         'origination_columns: "upb"'),
+        ({**good, "has_header": "false"}, '"has_header"'),
+        ({**good, "missing_codes": {"dti": "999"}}, 'missing_codes: "dti"'),
+        ({**good, "missing_codes": ["dti"]}, "missing_codes: expected a JSON object"),
+        ({**good, "date_format": "mm/yyyy"}, '"date_format"'),
     ]
     schema = tmp_path / "schema.json"
-    for case, key in cases:
+    for case, says in cases:
         schema.write_text(json.dumps(case))
         rc = main(["ingest", "--origination", str(orig), "--performance", str(perf),
                    "--schema", str(schema), "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert rc == 4, key
-        assert f'"{key}"' in err, err
+        assert rc == 4, says
+        assert says in err, err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
@@ -807,8 +807,11 @@ def test_dataset_unparseable_number_names_its_place(sim_outputs, tmp_path, capsy
     (["b,prepaid,1.0,30.0,1.0,1.0,0.5", "a,default,2.0,30.0,2.0,1.0,0.5"], 4,
      "rows of loan a not consecutive"),
     (["a,default,3.0,30.0,2.0,1.0,0.5"], 3, "loan a rows disagree on loan fields"),
+    (["b,default,2.0,30.0,1.0,1.0"], 3, "expected 7 fields"),
+    (["b,defaulted,2.0,30.0,1.0,1.0,0.5"], 3, "unknown status 'defaulted'"),
 ], ids=["covariate-nan", "obs-time-inf", "obs-time-nan", "obs-time-zero", "obs-time-repeats",
-        "time-negative", "active-past-maturity", "not-consecutive", "disagree"])
+        "time-negative", "active-past-maturity", "not-consecutive", "disagree", "field-count",
+        "unknown-status"])
 def test_dataset_content_error_names_its_place(tmp_path, capsys, rows, line, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text("loan_id,status,time,maturity,obs_time,intercept,x1\n"
@@ -818,6 +821,42 @@ def test_dataset_content_error_names_its_place(tmp_path, capsys, rows, line, mes
     err = capsys.readouterr().err
     assert rc == 4
     assert f"{dataset}:{line}: {message}" in err
+    assert "Traceback" not in err
+
+
+_DRAWS_HEADER = ("chain,iteration,mu_default,sigma2_default,mu_prepay,sigma2_prepay,"
+                 "theta_default:intercept,theta_default:x1,theta_prepay:intercept,theta_prepay:x1")
+_DRAW = "1.0,1.0,1.0,1.0,0.1,0.2,0.1,0.2"
+
+
+@pytest.mark.parametrize("name, text, where, message", [
+    ("dataset.csv", "", "", "empty dataset file"),
+    ("dataset.csv", "loan_id,time,status,maturity,obs_time,x1\n", "",
+     "expected columns ['loan_id', 'status', 'time', 'maturity', 'obs_time']..., "
+     "got ['loan_id', 'time', 'status', 'maturity', 'obs_time']"),
+    ("dataset.csv", "loan_id,status,time,maturity,obs_time\n", "", "no covariate columns"),
+    ("draws.csv", f"{_DRAWS_HEADER}\n0,1,{_DRAW}\n0,2\n", ":3", "wrong field count"),
+    ("draws.csv", f"{_DRAWS_HEADER}\n", "", "no draws"),
+    ("draws.csv", f"{_DRAWS_HEADER}\n0,1,{_DRAW}\n99999999999999999999,2,{_DRAW}\n", ":3",
+     "chain must fit in int64, got 99999999999999999999"),
+    ("draws.csv", f"{_DRAWS_HEADER}\n0,-9223372036854775809,{_DRAW}\n", ":2",
+     "iteration must fit in int64, got -9223372036854775809"),
+], ids=["dataset-empty", "dataset-leading-columns", "dataset-no-covariates",
+        "draws-field-count", "draws-none", "draws-chain-beyond-int64",
+        "draws-iteration-beyond-int64"])
+def test_input_file_error_names_the_file(tmp_path, capsys, name, text, where, message):
+    """A dataset or draws file refused as a whole, or at a line, exits 4
+    with a message naming the file (and the line), not a traceback."""
+    dataset, draws = tmp_path / "dataset.csv", tmp_path / "draws.csv"
+    dataset.write_text("loan_id,status,time,maturity,obs_time,intercept,x1\n"
+                       "a,default,2.0,30.0,1.0,1.0,0.5\n")
+    draws.write_text(f"{_DRAWS_HEADER}\n0,1,{_DRAW}\n")
+    (tmp_path / name).write_text(text)
+    rc = main(["predict", "--dataset", str(dataset), "--draws", str(draws), "--n-sims", "5",
+               "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err == f"error: {tmp_path / name}{where}: {message}\n"
 
 
 def test_ingest_non_finite_origination_number_rejects_row_without_warning(tmp_path, capsys):

@@ -25,6 +25,7 @@ from mortsurv import (
     run_sampler,
     summarize,
 )
+from mortsurv import fileio
 from mortsurv.fileio import (
     from_json,
     params_to_json_dict,
@@ -32,14 +33,17 @@ from mortsurv.fileio import (
     read_draws_csv,
     read_fit_config,
     read_simulate_config,
+    read_json,
     read_truth_json,
+    to_json,
     write_acceptance_csv,
     write_csv,
     write_dataset_csv,
     write_draws_csv,
+    write_json,
     write_summary_csv,
-    write_truth_json,
 )
+from mortsurv.ingest import load_default_schema
 
 from conftest import params_small
 
@@ -149,7 +153,7 @@ def test_truth_roundtrip(tmp_path):
     config = BenchmarkConfig(n_loans=10, true_params=params, n_covariates=3, seed=2)
     _, truth = make_benchmark(config)
     f = tmp_path / "truth.json"
-    write_truth_json(truth, f)
+    write_json(to_json(truth), f)
     back = read_truth_json(f)
     assert back.seed == truth.seed
     assert back.maturity == truth.maturity
@@ -164,6 +168,31 @@ def test_params_json_dict_roundtrip():
     back = from_json(ModelParams, d, "model parameters")
     assert back.baseline_prepay.sigma2 == params.baseline_prepay.sigma2
     np.testing.assert_array_equal(back.theta_prepay, params.theta_prepay)
+
+
+def _fit_config():
+    prior = PriorSpec(theta_sd=3.0, mu_sd=4.5, sigma2_shape=2.5, sigma2_rate=0.5)
+    sampler = SamplerConfig(n_chains=2, n_iters=50, burn_in=10, thin=2, seed=8)
+    return fileio._FitConfig(prior, sampler)
+
+
+def _simulate_config():
+    return BenchmarkConfig(n_loans=7, true_params=params_small(3), n_covariates=2,
+                           maturity=25.0, censor_time=12.5, seed=4)
+
+
+@pytest.mark.parametrize("make", [
+    _simulate_config,
+    _fit_config,
+    load_default_schema,
+], ids=["simulate-config", "fit-config", "input-file-schema"])
+def test_to_json_is_the_inverse_of_the_decoder(tmp_path, make):
+    """Written by ``to_json`` and read back, a value encodes as it did; the
+    JSON values are compared, since ``ModelParams`` holds arrays."""
+    value = make()
+    f = tmp_path / "doc.json"
+    write_json(to_json(value), f)
+    assert to_json(read_json(type(value), f, "doc")) == to_json(value)
 
 
 def test_summary_and_acceptance_files_write(tmp_path, bench_small):
@@ -302,7 +331,7 @@ def test_draws_csv_roundtrip_is_bitwise_for_random_files(tmp_path_factory, sampl
 def test_truth_json_value_of_wrong_type_names_the_key(tmp_path, key, value, says):
     _, truth = make_benchmark(BenchmarkConfig(n_loans=3, true_params=params_small(4)))
     f = tmp_path / "truth.json"
-    write_truth_json(truth, f)
+    write_json(to_json(truth), f)
     d = json.loads(f.read_text())
     d[key] = value
     f.write_text(json.dumps(d))
@@ -320,13 +349,13 @@ def test_simulate_config_integer_for_a_number_reads_as_float(tmp_path):
     cfg = read_simulate_config(f)
     assert type(cfg.maturity) is float and type(cfg.censor_time) is float
     _, truth = make_benchmark(cfg)
-    write_truth_json(truth, tmp_path / "truth.json")
+    write_json(to_json(truth), tmp_path / "truth.json")
     assert '"maturity": 30.0' in (tmp_path / "truth.json").read_text()
 
 
 def _non_utf8_files(tmp_path):
     """Over 64 KiB of valid text for each reader: (name, path, read)."""
-    from mortsurv.ingest import load_default_schema, read_origination_file
+    from mortsurv.ingest import read_origination_file
 
     from test_ingest import orow
 

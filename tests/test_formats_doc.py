@@ -61,12 +61,13 @@ def _via_file(reader):
 
 def _truth(d, tmp_path):
     truth = _via_file(fileio.read_truth_json)(d, tmp_path)
+    assert fileio.to_json(truth) == d
     assert truth.params.p == len(truth.schema)
 
 
 def _preprocess(d, tmp_path):
     spec = _via_file(FILE_READERS["preprocess JSON"])(d, tmp_path)
-    assert spec.to_json_dict() == d
+    assert fileio.to_json(spec) == d
     assert spec.schema  # every categorical field the design matrix needs is present
 
 

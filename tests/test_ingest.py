@@ -24,10 +24,11 @@ from mortsurv import (
     ZeroVarianceError,
     ingest_portfolio,
 )
-from mortsurv.fileio import from_json, read_dataset_csv, write_dataset_csv
+from mortsurv.fileio import from_json, read_dataset_csv, to_json, write_dataset_csv
 from mortsurv.ingest import (
     DEFAULT_ZB_CODES,
     QUANT_FIELDS,
+    FileSchema,
     LoanHistory,
     OriginationRecord,
     PreprocessSpec,
@@ -577,7 +578,7 @@ def test_judicial_state_membership():
 def test_preprocess_spec_json_roundtrip():
     recs = varied_records(12, first_time_buyer=lambda i: "Y" if i % 3 else "N")
     spec = fit_preprocess(recs)
-    again = from_json(PreprocessSpec, spec.to_json_dict(), "preprocess JSON")
+    again = from_json(PreprocessSpec, to_json(spec), "preprocess JSON")
     assert again == spec
     assert again.schema == spec.schema
 
@@ -766,11 +767,22 @@ def test_bulk_built_paths_are_read_only_and_bitwise_checked(toy_files, tmp_path)
      '"origination_columns.loan_id" must be a non-negative integer, got -1'),
     ({"delimiter": ""}, '"delimiter" must be a non-empty string, got ""'),
     ({"date_format": "mm/yyyy"}, '"date_format" must be "yyyymm" or "yyyy-mm", got "mm/yyyy"'),
-    ({"performance_columns": {"loan_id": 0}},
-     'missing required key "performance_columns.reporting_date"'),
-    ({"missing_codes": {"zero_balance": ("X",)}}, "unknown keys ['missing_codes.zero_balance']"),
 ])
 def test_file_schema_checks_its_values(change, says):
     with pytest.raises(IngestError) as exc:
         replace(load_default_schema(), **change)
     assert str(exc.value).startswith(says)
+
+
+@pytest.mark.parametrize("change, says", [
+    ({"performance_columns": {"loan_id": 0}},
+     'performance_columns: missing required key "reporting_date"'),
+    ({"missing_codes": {"zero_balance": ["X"]}}, "missing_codes: unknown keys ['zero_balance']"),
+    ({"origination_columns": {"dti": 9}}, 'origination_columns: missing required key "loan_id"'),
+])
+def test_file_schema_maps_are_checked_by_the_decoder(change, says):
+    """The keys of the schema's maps are checked when it is read, in the
+    decoder's block form."""
+    with pytest.raises(ValueError) as exc:
+        from_json(FileSchema, {**to_json(load_default_schema()), **change}, "input file schema")
+    assert str(exc.value).startswith(f"input file schema {says}")
