@@ -131,10 +131,11 @@ def _numbers(path, line_no: int, names: list[str], cells: list[str], parse=float
 
 
 def _csv_rows(path, what: str):
-    """The header, then (line number, cells) of each row, of a CSV file; an
-    empty file, text that is not UTF-8 (``utf8_error``) and a row the csv
-    module refuses (a cell over its size limit) raise ValueError naming the
-    file."""
+    """The header, then (line number, cells) of each row, of a CSV file; a
+    row's number is the file line it starts on, since a quoted cell may hold
+    line breaks.  An empty file, text that is not UTF-8 (``utf8_error``) and
+    a row the csv module refuses (a cell over its size limit) raise
+    ValueError naming the file."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -142,7 +143,10 @@ def _csv_rows(path, what: str):
             if header is None:
                 raise ValueError(f"{path}: empty {what} file")
             yield header
-            yield from enumerate(reader, start=2)
+            end = reader.line_num
+            for row in reader:
+                yield end + 1, row
+                end = reader.line_num
         except UnicodeDecodeError as exc:
             raise utf8_error(path, exc) from None
         except csv.Error as exc:
@@ -168,6 +172,7 @@ def read_dataset_csv(path) -> Dataset:
 
     heads: list[tuple] = []  # (loan_id, status, time, maturity) per loan
     starts: list[int] = []  # index of each loan's first row
+    line_nos: list[int] = []  # file line of each row
     obs_times: list[float] = []
     values: list[list[float]] = []
     seen: set[str] = set()
@@ -189,16 +194,16 @@ def read_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}:{line_no}: loan {loan_id} rows disagree on loan fields")
         obs_times.append(obs_time)
         values.append(covariates)
-    # row i of the file body is line i + 2 (the header is line 1)
+        line_nos.append(line_no)
     paths = CovariatePath._from_columns(
-        obs_times, values, starts, schema, lambda row: f"{path}:{row + 2}"
+        obs_times, values, starts, schema, lambda row: f"{path}:{line_nos[row]}"
     )
     loans = []
     for (loan_id, status, time, maturity), start, covariates in zip(heads, starts, paths):
         try:
             loans.append(LoanObservation(loan_id, status, time, covariates, maturity))
         except ValueError as exc:
-            raise ValueError(f"{path}:{start + 2}: {exc}") from None
+            raise ValueError(f"{path}:{line_nos[start]}: {exc}") from None
     try:
         return Dataset(loans=tuple(loans), schema=schema)
     except ValueError as exc:
@@ -229,11 +234,13 @@ def read_draws_csv(path) -> PosteriorSamples:
         raise ValueError(f"{path}: expected header chain,iteration,{','.join(names)}")
     rows = []
     meta = []
+    line_nos = []
     for line_no, row in lines:
         if len(row) != len(header):
             raise ValueError(f"{path}:{line_no}: wrong field count")
         meta.append(_numbers(path, line_no, header[:2], row[:2], int))
         rows.append(_numbers(path, line_no, names, row[2:]))
+        line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no draws")
     mat = np.array(rows)
@@ -243,13 +250,17 @@ def read_draws_csv(path) -> PosteriorSamples:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         need = "positive and finite" if j in variances else "finite"
-        raise ValueError(f"{path}:{i + 2}: {names[j]} must be {need}, got {float(mat[i, j])!r}")
+        raise ValueError(
+            f"{path}:{line_nos[i]}: {names[j]} must be {need}, got {float(mat[i, j])!r}"
+        )
     try:
         chain, iteration = np.array(meta, dtype=np.int64).T
     except OverflowError:
         i, j = next((i, j) for i, m in enumerate(meta) for j, v in enumerate(m)
                     if not -(2**63) <= v < 2**63)
-        raise ValueError(f"{path}:{i + 2}: {header[j]} must fit in int64, got {meta[i][j]}") from None
+        raise ValueError(
+            f"{path}:{line_nos[i]}: {header[j]} must fit in int64, got {meta[i][j]}"
+        ) from None
     return PosteriorSamples.from_matrix(schema, chain, iteration, mat)
 
 

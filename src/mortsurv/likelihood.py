@@ -6,10 +6,13 @@ loan's observation window, and censored loans contribute only the
 integrals.  Within one risk it factors further into a coefficient part
 (terms depending on theta) and a baseline part (terms depending on mu,
 sigma2), joined by a single weighted sum over covariate-constant segments.
-The sampler evaluates each proposal as one ``coef_parts`` plus one
-``baseline_parts``; ``risk_loglik_derivs`` adds the gradient and Hessian in
-(theta, mu, log sigma2) for the sampler's mode search, from the same
-log-survival pass.
+``risk_loglik`` evaluates one point as one ``coef_parts`` plus one
+``baseline_parts``.  Both parts also take a leading row axis, and
+``risk_logliks`` scores many points (the sampler's independence proposals)
+in passes of ``_BATCH_ROWS`` rows through them, one matrix of z and one
+log-survival call per pass.  ``risk_loglik_derivs`` adds the gradient and
+Hessian in (theta, mu, log sigma2) for the sampler's mode search, from the
+same log-survival pass.
 
 The baseline part costs one normal log-survival evaluation per distinct
 positive segment boundary time, not per segment: each segment's
@@ -20,9 +23,12 @@ Ingested exit times are whole months, so a large book has a few hundred
 distinct times whatever its size.  Per-segment and per-event values are
 the same elementwise arithmetic as evaluating each segment on its own.
 
-All reductions go through ``np.sum`` (pairwise, single-threaded) over
-segments and events in dataset order, so a given dataset and parameter
-point always produces the bit-identical float.
+At one point, all reductions go through ``np.sum`` (pairwise,
+single-threaded) over segments and events in dataset order, so a given
+dataset and parameter point always produces the bit-identical float.  A
+row of a batched pass has the same segment weights and per-time values,
+summed in another fixed order (see ``risk_logliks``), so it is as
+reproducible and agrees with the one-point value to rounding.
 """
 
 from __future__ import annotations
@@ -51,20 +57,27 @@ __all__ = ["PortfolioLikelihood", "loan_loglik", "total_loglik"]
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+# rows per pass of ``risk_logliks``, which works in a few (rows, S) and
+# (rows, U) arrays: 16 to 64 rows cost the same per row on the benchmark books
+_BATCH_ROWS = 32
+
+
 @dataclass(frozen=True)
 class CoefParts:
-    """Theta-dependent pieces of one risk's log-likelihood."""
+    """Theta-dependent pieces of one risk's log-likelihood, at one point
+    or (with a leading row axis) at each of n rows."""
 
-    event_eta_sum: float
-    seg_weights: np.ndarray  # exp(theta' x) per segment, shape (S,)
+    event_eta_sum: float | np.ndarray  # float, or shape (n,)
+    seg_weights: np.ndarray  # exp(theta' x) per segment, shape (S,) or (n, S)
 
 
 @dataclass(frozen=True)
 class BaselineParts:
-    """(mu, sigma2)-dependent pieces of one risk's log-likelihood."""
+    """(mu, sigma2)-dependent pieces of one risk's log-likelihood, at one
+    point or (with a leading row axis) at each of n rows."""
 
-    event_logr_sum: float
-    seg_cumhaz: np.ndarray  # integrated baseline rate per segment, shape (S,)
+    event_logr_sum: float | np.ndarray  # float, or shape (n,)
+    seg_cumhaz: np.ndarray  # integrated baseline rate per segment, shape (S,) or (n, S)
 
 
 class PortfolioLikelihood:
@@ -114,9 +127,16 @@ class PortfolioLikelihood:
         self._event_t = {r: hi[i] for r, i in event.items()}
         self._event_x = {r: self._seg_x[i] for r, i in event.items()}
         self._event_idx = {r: self._hi_idx[i] for r, i in event.items()}
+        # the batched pass sums over each risk's distinct event times, each
+        # weighted by its number of events, and over the summed event covariates
+        self._event_at = {}
+        for r, i in self._event_idx.items():
+            at, count = np.unique(i, return_counts=True)
+            self._event_at[r] = at, count.astype(float)
+        self._event_x_sum = {r: x.sum(axis=0) for r, x in self._event_x.items()}
         for arr in (self._seg_x, self._log_times, self._hi_idx, self._inner, self._inner_lo_idx):
             arr.setflags(write=False)
-        for d in (self._event_t, self._event_x, self._event_idx):
+        for d in (self._event_t, self._event_x, self._event_idx, self._event_x_sum):
             for arr in d.values():
                 arr.setflags(write=False)
 
@@ -135,57 +155,99 @@ class PortfolioLikelihood:
         """Observed event times for one risk (read-only view)."""
         return self._event_t[risk]
 
-    def coef_parts(self, risk: RiskKind, theta: np.ndarray) -> CoefParts:
-        """Everything in risk's log-likelihood that depends on theta."""
+    def coef_parts(self, risk: RiskKind, theta: np.ndarray, out=None) -> CoefParts:
+        """Everything in risk's log-likelihood that depends on theta, at one
+        theta of shape (p,) or at each row of an (n, p) array; for rows,
+        ``out`` may give the (n, S) array to hold the weights."""
         theta = np.asarray(theta, dtype=float)
-        eta_sum = float(np.sum(self._event_x[risk] @ theta))
+        if theta.ndim == 1:
+            eta_sum = float(np.sum(self._event_x[risk] @ theta))
+            eta = self._seg_x @ theta
+        else:
+            eta_sum = theta @ self._event_x_sum[risk]
+            eta = np.empty((len(theta), self.n_segments)) if out is None else out
+            # a matrix-vector product per row, the same as at one point,
+            # not one matrix product: exp would turn its rounding difference
+            # in theta'x into a relative one of eps |theta'x| in the weight
+            np.matmul(self._seg_x, theta[:, :, None], out=eta[:, :, None])
         with np.errstate(over="ignore"):
-            weights = np.exp(self._seg_x @ theta)
-        return CoefParts(event_eta_sum=eta_sum, seg_weights=weights)
+            return CoefParts(eta_sum, np.exp(eta, out=eta))
 
-    def baseline_parts(self, risk: RiskKind, baseline: LognormalBaseline) -> BaselineParts:
-        """Everything in risk's log-likelihood that depends on (mu, sigma2).
+    def baseline_parts(
+        self, risk: RiskKind, baseline: LognormalBaseline | np.ndarray, out=None
+    ) -> BaselineParts:
+        """Everything in risk's log-likelihood that depends on (mu, sigma2),
+        at one ``LognormalBaseline`` or at each (mu, sigma2) row of an
+        (n, 2) array; ``out`` may give the arrays to work in, for z and H0
+        at the distinct times and for the segments' integrated baselines.
 
         One log-survival pass over the distinct times gives the integrated
         baseline H0 = -log S0 at every segment end and, with the log-pdf at
         the same z, the log hazard at every event time.  Each per-segment
         and per-event value is the arithmetic of evaluating that segment or
-        event on its own, so the sums match it bit for bit.
+        event on its own, so at one point the sums match it bit for bit.
         """
-        return self._baseline_pass(risk, baseline)[0]
+        return self._baseline_pass(risk, baseline, out)[0]
 
     def _baseline_pass(
-        self, risk: RiskKind, baseline: LognormalBaseline
+        self, risk: RiskKind, baseline: LognormalBaseline | np.ndarray, out=None
     ) -> tuple[BaselineParts, np.ndarray]:
-        """``baseline_parts`` with the z of every distinct time."""
-        z = (self._log_times - baseline.mu) / baseline.sigma
-        log_surv = log_normal_survival(z)
-        cumhaz = self._per_segment(-log_surv)
+        """``baseline_parts`` with the z of every distinct time (one row of
+        them per baseline row)."""
+        z_out, h0_out, seg_out = out if out is not None else (None, None, None)
+        if isinstance(baseline, LognormalBaseline):
+            mu, sigma, sigma2 = baseline.mu, baseline.sigma, baseline.sigma2
+        else:
+            mu, sigma2 = baseline[:, :1], baseline[:, 1:]
+            sigma = np.sqrt(sigma2)
+        z = np.subtract(self._log_times, mu, out=z_out)
+        z /= sigma
+        h0 = log_normal_survival(z, out=h0_out)
+        np.negative(h0, out=h0)
+        cumhaz = self._per_segment(h0, out=seg_out)
         np.maximum(cumhaz, 0.0, out=cumhaz)
-        idx = self._event_idx[risk]
-        logr_sum = 0.0
-        if idx.size:
-            log_r = _lognormal_log_pdf(self._log_times, z, baseline) - log_surv
-            logr_sum = float(np.sum(log_r[idx]))
+        if z.ndim == 1:
+            logr_sum = float(np.sum(self._log_hazard(self._event_idx[risk], z, h0, sigma2)))
+        else:
+            # each distinct event time once, weighted by its number of events
+            at, count = self._event_at[risk]
+            logr_sum = self._log_hazard(at, z, h0, sigma2) @ count
         return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz), z
 
-    def _per_segment(self, at_times: np.ndarray) -> np.ndarray:
+    def _log_hazard(self, at, z, h0, sigma2):
+        """The log baseline hazard at the distinct times indexed by ``at``,
+        from z and H0 at every distinct time (last axis)."""
+        return _lognormal_log_pdf(self._log_times[at], z[..., at], sigma2) + h0[..., at]
+
+    def _per_segment(self, at_times: np.ndarray, out=None) -> np.ndarray:
         """Each segment's increment of a function of time given at the
         distinct times (last axis): its value at the segment end, minus its
         value at the start for a segment that starts after time 0."""
-        out = at_times[..., self._hi_idx]
+        if out is None:
+            # for a 2-D input this is Fortran-ordered, and that order fixes
+            # the sums of ``risk_loglik_derivs``
+            out = at_times[..., self._hi_idx]
+        else:
+            # the indices are in range by construction; "clip" writes to
+            # ``out`` directly where the default mode would buffer
+            np.take(at_times, self._hi_idx, axis=-1, out=out, mode="clip")
         out[..., self._inner] -= at_times[..., self._inner_lo_idx]
         return out
 
     @staticmethod
-    def combine(coef: CoefParts, base: BaselineParts) -> float:
-        """Assemble one risk's log-likelihood from its two parts."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            lam = float(np.sum(coef.seg_weights * base.seg_cumhaz))
+    def combine(coef: CoefParts, base: BaselineParts):
+        """Assemble one risk's log-likelihood from its two parts: a float,
+        or one value per row for parts with a leading row axis."""
+        w, cumhaz = coef.seg_weights, base.seg_cumhaz
         # inf * 0 only occurs when exp(theta'x) overflowed; such a point is
         # beyond float range for the true likelihood too, so treat as -inf
-        if math.isnan(lam):
-            lam = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            if w.ndim == 1:
+                lam = float(np.sum(w * cumhaz))
+                lam = math.inf if math.isnan(lam) else lam
+            else:
+                lam = np.einsum("ij,ij->i", w, cumhaz)
+                lam[np.isnan(lam)] = math.inf
         return coef.event_eta_sum + base.event_logr_sum - lam
 
     def risk_loglik_derivs(
@@ -232,7 +294,7 @@ class PortfolioLikelihood:
             seg = self._per_segment(h0) * w
             g_mu, g_l, h_mumu, h_mul, h_ll = log_r.sum(axis=1) - seg.sum(axis=1)
             wh = w * base.seg_cumhaz
-            g_theta = self._event_x[risk].sum(axis=0) - self._seg_x.T @ wh
+            g_theta = self._event_x_sum[risk] - self._seg_x.T @ wh
             hess = np.empty((p + 2, p + 2))
             hess[:p, :p] = -(self._seg_x.T * wh) @ self._seg_x
             hess[:p, p:] = -self._seg_x.T @ seg[:2].T
@@ -253,6 +315,30 @@ class PortfolioLikelihood:
     ) -> float:
         """One risk's contribution to the portfolio log-likelihood."""
         return self.combine(self.coef_parts(risk, theta), self.baseline_parts(risk, baseline))
+
+    def risk_logliks(self, risk: RiskKind, rows: np.ndarray) -> np.ndarray:
+        """``risk_loglik`` at each row (mu, sigma2, theta) of an
+        (n, 2 + p) array, ``_BATCH_ROWS`` rows per pass of the parts.
+
+        Each row's segment weights are the one-point weights bit for bit;
+        the sums differ from ``risk_loglik`` by rounding only, since the
+        event covariates are summed before the product with theta, the
+        event log hazards once per distinct time with its number of events
+        as weight, and the weighted segment terms in another order.
+        """
+        out = np.empty(len(rows))
+        n = min(len(rows), _BATCH_ROWS)
+        # every pass works in these arrays; fresh ones for each pass would
+        # be paged in anew each time
+        seg = np.empty((2, n, self.n_segments))
+        times = np.empty((2, n, self._log_times.size))
+        for start in range(0, len(rows), _BATCH_ROWS):
+            batch = rows[start : start + _BATCH_ROWS]
+            k = len(batch)
+            coef = self.coef_parts(risk, batch[:, 2:], out=seg[0, :k])
+            base = self.baseline_parts(risk, batch[:, :2], out=(*times[:, :k], seg[1, :k]))
+            out[start : start + k] = self.combine(coef, base)
+        return out
 
     def total(self, params: ModelParams) -> float:
         """Full log-likelihood at ``params`` (0.0 for an empty portfolio)."""

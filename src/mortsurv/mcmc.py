@@ -15,9 +15,16 @@ instead proposes a random-walk step with covariance (``RW_SCALE``**2 / d)
 times the Laplace covariance (Roberts & Rosenthal 2001): where the
 posterior has a heavier or more skewed tail than the t, an independence
 chain that lands in it can reject for hundreds of sweeps, and the local
-move lets it walk out.  A sweep costs one ``coef_parts`` and one
-``baseline_parts`` per risk, and the kernel is the same from the first
-sweep to the last.
+move lets it walk out.  The kernel is the same from the first sweep to the
+last.
+
+Proposals are drawn ``_CHUNK`` sweeps at a time.  An independence proposal
+does not depend on the chain's state, so each risk scores all of a chunk's
+independence proposals of positive prior density before its accept loop,
+in one ``PortfolioLikelihood.risk_logliks`` call (passes of many rows
+through ``coef_parts`` and ``baseline_parts``); the loop then only reads
+their log posteriors.  A random-walk proposal, and each chain's start,
+costs one one-point ``coef_parts`` and ``baseline_parts``.
 
 The block is sampled in coordinates chosen per risk (``Coordinates``).
 When the design has an intercept column and the risk has events, the
@@ -479,6 +486,16 @@ def _point(like, block, u, values, log_prior, log_q) -> _Point:
     return _Point(u, values, log_post, float(log_q))
 
 
+def _log_posts(like, block, score, values, log_prior) -> np.ndarray:
+    """The log posterior at the proposals where ``score`` is true and the
+    prior is positive, from one batched likelihood call; the log prior
+    elsewhere."""
+    log_post = log_prior.copy()
+    rows = np.flatnonzero(score & (log_prior != -math.inf))
+    log_post[rows] = like.risk_logliks(block.risk, values[rows]) + log_prior[rows]
+    return log_post
+
+
 def run_chain(
     like: PortfolioLikelihood,
     prior: PriorSpec,
@@ -495,7 +512,8 @@ def run_chain(
     (seed, chain_id) pair always reproduces the same draws.  Sweeps
     ``_CYCLE``, 2 ``_CYCLE``, ... make random-walk proposals, every other
     sweep an independence proposal; the random numbers of both are drawn
-    for every sweep, ``_CHUNK`` sweeps at a time.
+    for every sweep, ``_CHUNK`` sweeps at a time, and a chunk's independence
+    proposals are scored in one batched likelihood call per risk.
     """
     blocks = blocks if blocks is not None else laplace_blocks(like, prior)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
@@ -518,6 +536,11 @@ def run_chain(
         with np.errstate(divide="ignore"):
             log_u = np.log(rng.uniform(size=(n, len(blocks))))
         evaluated = [block.evaluate(u, prior) for block, u in zip(blocks, fresh)]
+        # independence proposals do not depend on the chain's state, so the
+        # chunk's are scored before the accept loop, in one batched call per risk
+        independent = (sweep + 1 + np.arange(n)) % _CYCLE != 0
+        log_posts = [_log_posts(like, block, independent, values, log_prior)
+                     for block, (values, log_prior, _) in zip(blocks, evaluated)]
         for i in range(n):
             sweep += 1
             walk = sweep % _CYCLE == 0
@@ -528,7 +551,8 @@ def run_chain(
                     new = _point(like, block, u[0], *(x[0] for x in block.evaluate(u, prior)))
                     log_ratio = new.log_post - cur.log_post
                 else:
-                    new = _point(like, block, fresh[k][i], *(x[i] for x in evaluated[k]))
+                    values, _, log_q = evaluated[k]
+                    new = _Point(fresh[k][i], values[i], float(log_posts[k][i]), float(log_q[i]))
                     log_ratio = (new.log_post - new.log_q) - (cur.log_post - cur.log_q)
                 # NaN (both -inf) rejects
                 if log_u[i, k] < log_ratio:

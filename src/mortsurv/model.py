@@ -319,7 +319,7 @@ class Dataset:
 # --- scalar/array math -------------------------------------------------------
 
 
-def log_normal_survival(z):
+def log_normal_survival(z, out=None):
     """log(1 - Phi(z)) for the standard normal CDF Phi, stable in both tails.
 
     Evaluates via the complementary relation 1 - Phi(z) = Phi(-z) using the
@@ -330,25 +330,30 @@ def log_normal_survival(z):
     Parameters
     ----------
     z : float or array_like
+    out : ndarray, optional
+        Array of z's shape to write the result to.
 
     Returns
     -------
     float or ndarray
         Same shape as ``z``; always nonpositive.
     """
-    return sps.log_ndtr(-np.asarray(z, dtype=float))
+    return sps.log_ndtr(np.negative(np.asarray(z, dtype=float), out=out), out=out)
 
 
-def _lognormal_log_pdf(logt, z, baseline: LognormalBaseline):
-    """log pdf of the lognormal lifetime at t, from log t and z = (log t - mu)/sigma."""
-    return -0.5 * math.log(2.0 * math.pi * baseline.sigma2) - logt - 0.5 * z * z
+def _lognormal_log_pdf(logt, z, sigma2):
+    """log pdf of the lognormal lifetime at t, from log t, z = (log t - mu)/sigma
+    and sigma2: a float, or an array that broadcasts against z."""
+    log_var = np.log(2.0 * math.pi * sigma2) if isinstance(sigma2, np.ndarray) else math.log(
+        2.0 * math.pi * sigma2)
+    return -0.5 * log_var - logt - 0.5 * z * z
 
 
 def _log_baseline_hazard(t: np.ndarray, baseline: LognormalBaseline) -> np.ndarray:
     """log r(t) for positive t, via log-pdf minus log-survival of log-time."""
     logt = np.log(t)
     z = (logt - baseline.mu) / baseline.sigma
-    return _lognormal_log_pdf(logt, z, baseline) - log_normal_survival(z)
+    return _lognormal_log_pdf(logt, z, baseline.sigma2) - log_normal_survival(z)
 
 
 def lognormal_hazard(t, baseline: LognormalBaseline):

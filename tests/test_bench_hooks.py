@@ -66,7 +66,9 @@ def test_traced_fit_records_every_sampler_and_likelihood_hook(tmp_path, monkeypa
     capsys.readouterr()
 
     assert rc == 0
-    # each risk's block proposes through coef_parts and baseline_parts
+    # each risk's block scores its proposals through coef_parts and
+    # baseline_parts: many rows a call for a chunk's independence proposals,
+    # one point a call for the random-walk ones and the chain's start
     assert tracer.missing == DELETED_KERNELS
     assert mcmc.run_chain is original
     counts = _span_counts(tracer)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,43 @@ def test_draws_reader_rejects_mismatched_theta_blocks(tmp_path):
         "0,1,1.0,1.0,1.0,1.0,0.1,0.2\n"
     )
     with pytest.raises(ValueError):
+        read_draws_csv(f)
+
+
+# a quoted cell that holds a line break makes its row span two file lines,
+# so every later row sits one line below its row count
+_DATASET_HEAD = 'loan_id,status,time,maturity,obs_time,x\n"a\nb",default,2.0,30.0,1.0,0.5\n'
+
+
+@pytest.mark.parametrize("row, says", [
+    ("c,default,abc,30.0,1.0,0.5\n", "time 'abc' is not a number"),
+    ("c,default,2.0,30.0,-1.0,0.5\n", "obs_time"),
+    ("c,default,2.0,30.0,1.0,0.5\nc,default,2.0,30.0,0.5,0.5\n", "obs_time"),
+    ("c,default,-2.0,30.0,1.0,0.5\n", "time"),
+], ids=["number", "obs-time-range", "obs-time-order", "loan-time"])
+def test_dataset_error_after_a_multiline_cell_names_its_file_line(tmp_path, row, says):
+    f = tmp_path / "ml.csv"
+    f.write_text(_DATASET_HEAD + row, encoding="utf-8")
+    line = 4 if row.count("\n") == 1 else 5
+    with pytest.raises(ValueError, match=f"^{re.escape(str(f))}:{line}: .*{says}"):
+        read_dataset_csv(f)
+
+
+_DRAWS_HEAD = (
+    "chain,iteration,mu_default,sigma2_default,mu_prepay,sigma2_prepay,theta_default:x,theta_prepay:x\n"
+    '0,1,"1.0\n",1.0,1.0,1.0,0.1,0.2\n'
+)
+
+
+@pytest.mark.parametrize("row, says", [
+    ("0,2,1.0,abc,1.0,1.0,0.1,0.2\n", "sigma2_default 'abc' is not a number"),
+    ("0,2,1.0,-1.0,1.0,1.0,0.1,0.2\n", "sigma2_default must be positive and finite"),
+    ("0,99999999999999999999,1.0,1.0,1.0,1.0,0.1,0.2\n", "iteration must fit in int64"),
+], ids=["number", "variance", "int64"])
+def test_draws_error_after_a_multiline_cell_names_its_file_line(tmp_path, row, says):
+    f = tmp_path / "draws.csv"
+    f.write_text(_DRAWS_HEAD + row, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(f))}:4: {says}"):
         read_draws_csv(f)
 
 

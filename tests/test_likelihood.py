@@ -340,6 +340,43 @@ def test_splitting_a_segment_leaves_loglik_unchanged(dataset, data):
     assert after == pytest.approx(before, rel=1e-12)
 
 
+# --- many points in one batched pass ----------------------------------------------
+
+
+def _rows():
+    """Rows (mu, sigma2, theta) for p = 2: sigma2 from 1e-3 to 1e3, and a
+    theta large enough now and then that theta'x passes 709, where exp
+    overflows; more rows than one pass takes."""
+    theta = st.one_of(st.floats(-2.0, 2.0), st.floats(300.0, 800.0), st.floats(-800.0, -300.0))
+    row = st.tuples(st.floats(-3.0, 6.0), st.floats(-3.0, 3.0), theta, st.floats(-2.0, 2.0))
+    return st.lists(row, min_size=1, max_size=80).map(
+        lambda rs: np.array([(mu, 10.0**e, a, b) for mu, e, a, b in rs])
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_portfolios(), st.sampled_from(sorted(BOOKS)).map(BOOKS.get)), _rows())
+def test_batched_logliks_equal_one_point_logliks(dataset, rows):
+    # step paths with interior boundaries, a risk with no events (the
+    # no_defaults book) and the empty book (what ``fit --prior-only`` samples)
+    like = PortfolioLikelihood(dataset)
+    for risk in RiskKind:
+        got = like.risk_logliks(risk, rows)
+        want = np.array([like.risk_loglik(risk, r[2:], LognormalBaseline(r[0], r[1]))
+                         for r in rows])
+        assert got.shape == want.shape
+        finite = np.isfinite(want)
+        # -inf and +inf in the same places, and never NaN
+        assert np.array_equal(got[~finite], want[~finite]), (got, want)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite])), (
+            got, want)
+        # each row's weights are the one-point weights bit for bit, so exp
+        # does not magnify a rounding difference in theta'x
+        weights = like.coef_parts(risk, rows[:, 2:]).seg_weights
+        for w, r in zip(weights, rows):
+            assert w.tobytes() == like.coef_parts(risk, r[2:]).seg_weights.tobytes()
+
+
 # --- gradient and Hessian in (theta, mu, log sigma2) ----------------------------
 
 

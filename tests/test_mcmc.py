@@ -31,7 +31,7 @@ from mortsurv import (
     effective_sample_size,
     summarize,
 )
-from mortsurv import mcmc
+from mortsurv import likelihood, mcmc
 from mortsurv.mcmc import (
     PROPOSAL_DF,
     PROPOSAL_SCALE,
@@ -334,6 +334,54 @@ def test_run_sampler_stacks_chains_in_order(bench_small):
     np.testing.assert_array_equal(s.iteration, np.concatenate([r.iterations for r in chains]))
     for block, rates in s.acceptance.items():
         assert rates.tolist() == [r.acceptance[block] for r in chains]
+
+
+def _chunk_and_a_bit(bench_small):
+    """A likelihood, its fitted blocks and a run one chunk and 5 sweeps long."""
+    dataset, _ = bench_small
+    like = PortfolioLikelihood(dataset)
+    prior = PriorSpec()
+    config = SamplerConfig(n_chains=1, n_iters=mcmc._CHUNK + 5, burn_in=5, thin=1, seed=11)
+    return like, prior, config, mcmc.laplace_blocks(like, prior)
+
+
+def test_batched_scoring_gives_the_per_row_chain_bytes(bench_small, monkeypatch):
+    like, prior, config, blocks = _chunk_and_a_bit(bench_small)
+    batched = run_chain(like, prior, config, 0, blocks)
+
+    def per_row(self, risk, rows):
+        return np.array([self.risk_loglik(risk, r[2:], LognormalBaseline(r[0], r[1]))
+                         for r in rows])
+
+    monkeypatch.setattr(PortfolioLikelihood, "risk_logliks", per_row)
+    looped = run_chain(like, prior, config, 0, blocks)
+    assert batched.draws.tobytes() == looped.draws.tobytes()
+    assert batched.iterations.tobytes() == looped.iterations.tobytes()
+    assert batched.acceptance == looped.acceptance
+
+
+def test_independence_proposals_are_scored_in_batched_passes(bench_small, monkeypatch):
+    like, prior, config, blocks = _chunk_and_a_bit(bench_small)
+    calls = []
+    coef_parts = PortfolioLikelihood.coef_parts
+
+    def counted(self, risk, theta, *args, **kwargs):
+        calls.append((risk, np.ndim(theta)))
+        return coef_parts(self, risk, theta, *args, **kwargs)
+
+    monkeypatch.setattr(PortfolioLikelihood, "coef_parts", counted)
+    run_chain(like, prior, config, 0, blocks)
+    # per chunk, its independence sweeps in passes of _BATCH_ROWS rows; one
+    # point at the chain's start and at each random-walk sweep
+    sweeps = np.arange(1, config.n_iters + 1)
+    chunks = np.split(sweeps, np.arange(mcmc._CHUNK, config.n_iters, mcmc._CHUNK))
+    n_ind = [int(np.sum(c % mcmc._CYCLE != 0)) for c in chunks]
+    assert n_ind == [683, 3]
+    passes = sum(math.ceil(n / likelihood._BATCH_ROWS) for n in n_ind)
+    n_walk = config.n_iters - sum(n_ind)
+    for risk in RiskKind:
+        assert calls.count((risk, 2)) == passes
+        assert calls.count((risk, 1)) == 1 + n_walk
 
 
 def test_run_sampler_shapes_and_labels(bench_small):
