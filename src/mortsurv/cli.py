@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"exit 0 even when some split R-hat exceeds {RHAT_GATE}",
     )
-    # accepted and ignored (chains run in sequence), so existing scripts
+    # accepted and ignored (the chains run in one thread), so existing scripts
     # that pass it, such as bench/run.py, keep working
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     common(p)

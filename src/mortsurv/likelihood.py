@@ -8,7 +8,7 @@ integrals.  Within one risk it factors further into a coefficient part
 sigma2), joined by a single weighted sum over covariate-constant segments.
 ``risk_loglik`` evaluates one point as one ``coef_parts`` plus one
 ``baseline_parts``.  Both parts also take a leading row axis, and
-``risk_logliks`` scores many points (the sampler's independence proposals)
+``risk_logliks`` scores many points (the sampler's proposals of every chain)
 in passes of ``_BATCH_ROWS`` rows through them, one matrix of z and one
 log-survival call per pass.  ``risk_loglik_derivs`` adds the gradient and
 Hessian in (theta, mu, log sigma2) for the sampler's mode search, from the
@@ -27,8 +27,10 @@ At one point, all reductions go through ``np.sum`` (pairwise,
 single-threaded) over segments and events in dataset order, so a given
 dataset and parameter point always produces the bit-identical float.  A
 row of a batched pass has the same segment weights and per-time values,
-summed in another fixed order (see ``risk_logliks``), so it is as
-reproducible and agrees with the one-point value to rounding.
+summed in another fixed order (see ``risk_logliks``), so it agrees with
+the one-point value to rounding.  Each row is reduced on its own, never
+through a matrix product over rows, so its value is the same bits however
+many rows share the call and wherever it sits among them.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class PortfolioLikelihood:
             eta_sum = float(np.sum(self._event_x[risk] @ theta))
             eta = self._seg_x @ theta
         else:
-            eta_sum = theta @ self._event_x_sum[risk]
+            eta_sum = np.sum(theta * self._event_x_sum[risk], axis=1)
             eta = np.empty((len(theta), self.n_segments)) if out is None else out
             # a matrix-vector product per row, the same as at one point,
             # not one matrix product: exp would turn its rounding difference
@@ -211,7 +213,7 @@ class PortfolioLikelihood:
         else:
             # each distinct event time once, weighted by its number of events
             at, count = self._event_at[risk]
-            logr_sum = self._log_hazard(at, z, h0, sigma2) @ count
+            logr_sum = np.sum(self._log_hazard(at, z, h0, sigma2) * count, axis=1)
         return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz), z
 
     def _log_hazard(self, at, z, h0, sigma2):
@@ -246,7 +248,7 @@ class PortfolioLikelihood:
                 lam = float(np.sum(w * cumhaz))
                 lam = math.inf if math.isnan(lam) else lam
             else:
-                lam = np.einsum("ij,ij->i", w, cumhaz)
+                lam = np.sum(w * cumhaz, axis=1)
                 lam[np.isnan(lam)] = math.inf
         return coef.event_eta_sum + base.event_logr_sum - lam
 
@@ -322,9 +324,9 @@ class PortfolioLikelihood:
 
         Each row's segment weights are the one-point weights bit for bit;
         the sums differ from ``risk_loglik`` by rounding only, since the
-        event covariates are summed before the product with theta, the
+        event covariates are summed before the product with theta and the
         event log hazards once per distinct time with its number of events
-        as weight, and the weighted segment terms in another order.
+        as weight.  A row's value does not depend on the other rows.
         """
         out = np.empty(len(rows))
         n = min(len(rows), _BATCH_ROWS)

@@ -18,13 +18,16 @@ chain that lands in it can reject for hundreds of sweeps, and the local
 move lets it walk out.  The kernel is the same from the first sweep to the
 last.
 
-Proposals are drawn ``_CHUNK`` sweeps at a time.  An independence proposal
-does not depend on the chain's state, so each risk scores all of a chunk's
-independence proposals of positive prior density before its accept loop,
-in one ``PortfolioLikelihood.risk_logliks`` call (passes of many rows
-through ``coef_parts`` and ``baseline_parts``); the loop then only reads
-their log posteriors.  A random-walk proposal, and each chain's start,
-costs one one-point ``coef_parts`` and ``baseline_parts``.
+A fit's chains run together, one sweep at a time (in lockstep): each
+risk's state is one row per chain, and proposals are drawn ``_CHUNK``
+sweeps at a time.  An independence proposal does not depend on the
+chain's state, so each risk scores all chains' independence proposals of
+a chunk that have positive prior density before the accept loop, in one
+``PortfolioLikelihood.risk_logliks`` call (passes of many rows through
+``coef_parts`` and ``baseline_parts``); the loop then only reads their
+log posteriors.  The chains' starts, and each random-walk sweep's
+proposals, are scored in one such call per risk with one row per chain,
+and each accept test runs over all chains at once.
 
 The block is sampled in coordinates chosen per risk (``Coordinates``).
 When the design has an intercept column and the risk has events, the
@@ -35,16 +38,19 @@ slope at log t = m, which the data pin down nearly independently.
 Otherwise the block is (theta, mu, l).  The prior stays on the model
 parameters, so the target carries the log-Jacobian 2l or l.
 
-Chains run one after another in chain order.  Chain ``c`` draws from
-``default_rng(SeedSequence(seed, spawn_key=(c,)))``, starts from one draw
-of the proposal and depends on no other chain, so any chain can be rerun
-on its own with ``run_chain``.
+Chain ``c`` draws from ``default_rng(SeedSequence(seed, spawn_key=(c,)))``,
+starts from one draw of the proposal and depends on no other chain.  A
+row's log posterior and proposal density do not depend on how many rows
+share the call, so any chain can be rerun on its own with ``run_chain``
+and gives the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,7 +285,7 @@ class LaplaceBlock:
     mode: np.ndarray  # (d,)
     chol: np.ndarray  # (d, d)
 
-    @property
+    @functools.cached_property
     def root(self) -> np.ndarray:
         """R with R R' the Laplace covariance."""
         return np.linalg.inv(self.chol).T
@@ -303,9 +309,11 @@ class LaplaceBlock:
         prior plus log-Jacobian, -inf where the values are not finite; and
         the log density of the independence proposal, both up to a constant."""
         d = self.mode.size
-        delta = (u - self.mode) @ self.chol  # rows of C'(u - mode)
+        # rows of C'(u - mode), each a product on its own, so a row's value
+        # does not depend on how many rows share the call
+        delta = np.matmul((u - self.mode)[:, None, :], self.chol)[:, 0]
         log_q = -0.5 * (PROPOSAL_DF + d) * np.log1p(
-            np.einsum("ij,ij->i", delta, delta) / (PROPOSAL_DF * PROPOSAL_SCALE**2)
+            np.sum(delta * delta, axis=1) / (PROPOSAL_DF * PROPOSAL_SCALE**2)
         )
         values = np.empty_like(u)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -466,107 +474,140 @@ def _draw_columns(risk: RiskKind, p: int) -> np.ndarray:
     return np.concatenate(([2 * k, 2 * k + 1], 4 + k * p + np.arange(p)))
 
 
-@dataclass
-class _Point:
-    """A chain's current state for one risk."""
+@dataclass(frozen=True, eq=False)
+class _Slots:
+    """One risk's states and proposals over one chunk, for every chain.
 
-    u: np.ndarray
-    values: np.ndarray  # (mu, sigma2, theta)
-    log_post: float  # up to a constant
-    log_q: float  # independence proposal density, up to a constant
+    Slot 0 holds the state each chain starts the chunk in and slot i + 1
+    the proposal of the chunk's sweep i; a chain's state is a slot index.
+    """
+
+    u: np.ndarray  # (C, n + 1, d)
+    values: np.ndarray  # (C, n + 1, 2 + p): (mu, sigma2, theta)
+    log_post: np.ndarray  # (C, n + 1), up to a constant
+    log_q: np.ndarray  # (C, n + 1), independence proposal density up to a constant
+    gain: np.ndarray  # (C, n + 1), log_post - log_q
+
+    @classmethod
+    def empty(cls, n_chains: int, n: int, d: int, p: int) -> "_Slots":
+        shape = (n_chains, n + 1)
+        return cls(np.empty((*shape, d)), np.empty((*shape, 2 + p)),
+                   np.empty(shape), np.empty(shape), np.empty(shape))
+
+    def put(self, at, u, values, log_post, log_q) -> None:
+        """Fill slot ``at`` (an index or a slice) of every chain."""
+        self.u[:, at], self.values[:, at] = u, values
+        self.log_post[:, at], self.log_q[:, at] = log_post, log_q
+        with np.errstate(invalid="ignore"):  # NaN where both are -inf
+            np.subtract(self.log_post[:, at], self.log_q[:, at], out=self.gain[:, at])
+
+    def row(self, slot: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(u, values, log_post, log_q) at each chain's ``slot``."""
+        chains = np.arange(len(slot))
+        return tuple(a[chains, slot] for a in (self.u, self.values, self.log_post, self.log_q))
 
 
-def _point(like, block, u, values, log_prior, log_q) -> _Point:
-    """The state at one proposal, evaluating the likelihood only where the
-    prior is positive."""
-    log_post = log_prior
-    if log_prior != -math.inf:
-        baseline = LognormalBaseline(float(values[0]), float(values[1]))
-        log_post = like.risk_loglik(block.risk, values[2:], baseline) + float(log_prior)
-    return _Point(u, values, log_post, float(log_q))
-
-
-def _log_posts(like, block, score, values, log_prior) -> np.ndarray:
-    """The log posterior at the proposals where ``score`` is true and the
-    prior is positive, from one batched likelihood call; the log prior
-    elsewhere."""
-    log_post = log_prior.copy()
-    rows = np.flatnonzero(score & (log_prior != -math.inf))
-    log_post[rows] = like.risk_logliks(block.risk, values[rows]) + log_prior[rows]
-    return log_post
+def _scored(like, block, prior, u, score=True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, log_post, log_q) at each u[..., :]: the log posterior from
+    one batched likelihood call where ``score`` is true and the prior is
+    positive, the log prior elsewhere."""
+    lead = u.shape[:-1]
+    values, log_post, log_q = block.evaluate(u.reshape(-1, u.shape[-1]), prior)
+    rows = np.flatnonzero(np.broadcast_to(score, lead).ravel() & (log_post != -math.inf))
+    log_post[rows] += like.risk_logliks(block.risk, values[rows])
+    return values.reshape(*lead, -1), log_post.reshape(lead), log_q.reshape(lead)
 
 
 def run_chain(
     like: PortfolioLikelihood,
     prior: PriorSpec,
     config: SamplerConfig,
-    chain_id: int,
+    chain_ids: Iterable[int],
     blocks: tuple[LaplaceBlock, ...] | None = None,
-) -> ChainResult:
-    """Run one chain to completion.
+) -> list[ChainResult]:
+    """Run the chains ``chain_ids`` to completion, in lockstep, one result each.
 
     ``blocks`` are the per-risk proposals (``laplace_block``); without
-    them the chain fits its own, which gives the same ones.  The chain's
-    generator is ``default_rng(SeedSequence(config.seed,
-    spawn_key=(chain_id,)))``, so chains never share a stream and a given
-    (seed, chain_id) pair always reproduces the same draws.  Sweeps
+    them the chains fit their own, which gives the same ones.  Chain c's
+    generator is ``default_rng(SeedSequence(config.seed, spawn_key=(c,)))``,
+    so chains never share a stream and a given (seed, c) pair always
+    reproduces the same draws, whichever chains run beside it.  Sweeps
     ``_CYCLE``, 2 ``_CYCLE``, ... make random-walk proposals, every other
-    sweep an independence proposal; the random numbers of both are drawn
-    for every sweep, ``_CHUNK`` sweeps at a time, and a chunk's independence
-    proposals are scored in one batched likelihood call per risk.
+    sweep an independence proposal.  Each chain draws its start per risk,
+    then per ``_CHUNK`` sweeps the independence proposals and the
+    random-walk steps of both risks and the uniforms of the accept tests.
+    Each risk scores the chains' starts, a chunk's independence proposals
+    and each random-walk sweep's proposals in one batched likelihood call
+    (``PortfolioLikelihood.risk_logliks``), whose rows do not depend on
+    how many share the call; the accept tests run over all chains at once.
     """
     blocks = blocks if blocks is not None else laplace_blocks(like, prior)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_id,)))
-    p = like.dataset.p
+    chain_ids = list(chain_ids)
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(c,)))
+            for c in chain_ids]
+    n_chains, n_risks, p = len(rngs), len(blocks), like.dataset.p
+    chains = np.arange(n_chains)
     cols = [_draw_columns(b.risk, p) for b in blocks]
-    current = []
-    for block in blocks:
-        u = block.independent(rng, 1)
-        current.append(_point(like, block, u[0], *(x[0] for x in block.evaluate(u, prior))))
+    slots = [_Slots.empty(n_chains, min(_CHUNK, config.n_iters), b.mode.size, p) for b in blocks]
+    starts = [[block.independent(rng, 1)[0] for block in blocks] for rng in rngs]
+    for k, block in enumerate(blocks):
+        u = np.array([start[k] for start in starts])
+        slots[k].put(0, u, *_scored(like, block, prior, u))
 
     iterations = np.empty(config.n_kept, dtype=np.int64)
-    draws = np.empty((config.n_kept, 4 + 2 * p))
-    accepted = [0] * len(blocks)
+    draws = np.empty((n_chains, config.n_kept, 4 + 2 * p))
+    accepted = np.zeros((n_risks, n_chains), dtype=np.int64)
     kept = 0
     sweep = 0
     while sweep < config.n_iters:
         n = min(_CHUNK, config.n_iters - sweep)
-        fresh = [block.independent(rng, n) for block in blocks]
-        steps = [block.steps(rng, n) for block in blocks]
+        # each chain's numbers in the order of a chain run alone, stacked over
+        # chains: independence proposals and steps per risk, then the uniforms
+        *proposals, uniform = (np.array(x) for x in zip(*(
+            [*(b.independent(rng, n) for b in blocks), *(b.steps(rng, n) for b in blocks),
+             rng.uniform(size=(n, n_risks))]
+            for rng in rngs
+        )))
+        fresh, steps = proposals[:n_risks], proposals[n_risks:]
         with np.errstate(divide="ignore"):
-            log_u = np.log(rng.uniform(size=(n, len(blocks))))
-        evaluated = [block.evaluate(u, prior) for block, u in zip(blocks, fresh)]
-        # independence proposals do not depend on the chain's state, so the
+            log_u = np.log(uniform)  # (chain, sweep, risk)
+        sweeps = sweep + 1 + np.arange(n)
+        walk = sweeps % _CYCLE == 0
+        # independence proposals do not depend on the chains' states, so the
         # chunk's are scored before the accept loop, in one batched call per risk
-        independent = (sweep + 1 + np.arange(n)) % _CYCLE != 0
-        log_posts = [_log_posts(like, block, independent, values, log_prior)
-                     for block, (values, log_prior, _) in zip(blocks, evaluated)]
-        for i in range(n):
-            sweep += 1
-            walk = sweep % _CYCLE == 0
-            for k, block in enumerate(blocks):
-                cur = current[k]
-                if walk:
-                    u = (cur.u + steps[k][i])[None]
-                    new = _point(like, block, u[0], *(x[0] for x in block.evaluate(u, prior)))
-                    log_ratio = new.log_post - cur.log_post
-                else:
-                    values, _, log_q = evaluated[k]
-                    new = _Point(fresh[k][i], values[i], float(log_posts[k][i]), float(log_q[i]))
-                    log_ratio = (new.log_post - new.log_q) - (cur.log_post - cur.log_q)
-                # NaN (both -inf) rejects
-                if log_u[i, k] < log_ratio:
-                    current[k] = new
-                    accepted[k] += sweep > config.burn_in
-            if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-                iterations[kept] = sweep
-                for k, cur in enumerate(current):
-                    draws[kept, cols[k]] = cur.values
-                kept += 1
+        for k, block in enumerate(blocks):
+            slots[k].put(slice(1, n + 1), fresh[k], *_scored(like, block, prior, fresh[k], ~walk))
+        # state[k, :, i] is each chain's slot after the chunk's first i sweeps
+        state = np.zeros((n_risks, n_chains, n + 1), dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            for i in range(n):
+                for k, block in enumerate(blocks):
+                    s, cur = slots[k], state[k, :, i]
+                    if walk[i]:
+                        u = s.u[chains, cur] + steps[k][:, i]
+                        s.put(i + 1, u, *_scored(like, block, prior, u))
+                        log_ratio = s.log_post[:, i + 1] - s.log_post[chains, cur]
+                    else:
+                        log_ratio = s.gain[:, i + 1] - s.gain[chains, cur]
+                    # NaN (both -inf) rejects
+                    state[k, :, i + 1] = np.where(log_u[:, i, k] < log_ratio, i + 1, cur)
+        post = sweeps > config.burn_in
+        accepted += np.sum((state[:, :, 1:] == np.arange(1, n + 1)) & post, axis=2)
+        keep = np.flatnonzero(post & ((sweeps - config.burn_in) % config.thin == 0))
+        iterations[kept : kept + keep.size] = sweeps[keep]
+        for k, s in enumerate(slots):
+            at = state[k][:, keep + 1]
+            draws[:, kept : kept + keep.size, cols[k]] = s.values[chains[:, None], at]
+            s.put(0, *s.row(state[k, :, n]))
+        kept += keep.size
+        sweep += n
 
     n_post = config.n_iters - config.burn_in
-    acceptance = {b.risk.value: a / n_post for b, a in zip(blocks, accepted)}
-    return ChainResult(chain_id, iterations, draws, acceptance)
+    return [
+        ChainResult(cid, iterations.copy(), draws[c],
+                    {b.risk.value: int(a[c]) / n_post for b, a in zip(blocks, accepted)})
+        for c, cid in enumerate(chain_ids)
+    ]
 
 
 def param_names(schema) -> list[str]:
@@ -675,14 +716,13 @@ def run_sampler(
     prior: PriorSpec | None = None,
     config: SamplerConfig | None = None,
 ) -> PosteriorSamples:
-    """Fit each risk's proposal once, run chains 0..C-1 in order on one
+    """Fit each risk's proposal once, run chains 0..C-1 in lockstep on one
     shared likelihood evaluator, and pool their kept draws in chain order."""
     prior = prior if prior is not None else PriorSpec()
     config = config if config is not None else SamplerConfig()
     like = PortfolioLikelihood(data)
-    blocks = laplace_blocks(like, prior)
     ids = list(range(config.n_chains))
-    results = [run_chain(like, prior, config, cid, blocks) for cid in ids]
+    results = run_chain(like, prior, config, ids, laplace_blocks(like, prior))
 
     return PosteriorSamples.from_matrix(
         data.schema,

@@ -67,8 +67,9 @@ def test_traced_fit_records_every_sampler_and_likelihood_hook(tmp_path, monkeypa
 
     assert rc == 0
     # each risk's block scores its proposals through coef_parts and
-    # baseline_parts: many rows a call for a chunk's independence proposals,
-    # one point a call for the random-walk ones and the chain's start
+    # baseline_parts, many rows a call: every chain's independence proposals
+    # of a chunk, and one row per chain at the starts and each random-walk
+    # sweep; one run_chain call runs all the fit's chains
     assert tracer.missing == DELETED_KERNELS
     assert mcmc.run_chain is original
     counts = _span_counts(tracer)

@@ -23,6 +23,7 @@ from mortsurv import (
     loan_loglik,
     total_loglik,
 )
+from mortsurv import likelihood
 from mortsurv.model import _integrated_baseline, log_normal_survival
 
 from conftest import params_small
@@ -375,6 +376,23 @@ def test_batched_logliks_equal_one_point_logliks(dataset, rows):
         weights = like.coef_parts(risk, rows[:, 2:]).seg_weights
         for w, r in zip(weights, rows):
             assert w.tobytes() == like.coef_parts(risk, r[2:]).seg_weights.tobytes()
+
+
+@pytest.mark.parametrize("book", ["continuous", "monthly"])
+def test_batched_rows_do_not_depend_on_the_rows_beside_them(book, bench_small):
+    # the sampler scores one row per chain, so a chain run alone must get
+    # the value it gets beside others, bit for bit
+    dataset = bench_small[0] if book == "continuous" else BOOKS["monthly"]
+    like = PortfolioLikelihood(dataset)
+    rng = np.random.default_rng(5)
+    n = 2 * likelihood._BATCH_ROWS + 7
+    rows = np.column_stack((rng.normal(1.5, 1.0, n), np.exp(rng.normal(0.0, 0.5, n)),
+                            rng.normal(0.0, 0.5, (n, dataset.p))))
+    for risk in RiskKind:
+        want = like.risk_logliks(risk, rows)
+        for k in (1, 2, 3, 5):
+            got = np.concatenate([like.risk_logliks(risk, rows[i : i + k]) for i in range(0, n, k)])
+            assert got.tobytes() == want.tobytes(), (risk, k)
 
 
 # --- gradient and Hessian in (theta, mu, log sigma2) ----------------------------

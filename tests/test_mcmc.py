@@ -289,7 +289,7 @@ def test_reparameterised_and_plain_kernels_sample_one_posterior(monkeypatch):
         else:
             monkeypatch.undo()
         block = laplace_block(like, prior, risk)
-        chains = [run_chain(like, prior, config, c, (block, other)) for c in range(4)]
+        chains = run_chain(like, prior, config, range(4), (block, other))
         samples = PosteriorSamples.from_matrix(
             dataset.schema, np.repeat(np.arange(4), config.n_kept),
             np.concatenate([r.iterations for r in chains]), np.vstack([r.draws for r in chains]))
@@ -308,9 +308,9 @@ def test_run_chain_reproducible_and_chain_id_distinct(bench_small):
     prior = PriorSpec()
     config = SamplerConfig(n_chains=2, n_iters=200, burn_in=100, thin=2, seed=42)
     like = PortfolioLikelihood(dataset)
-    a = run_chain(like, prior, config, chain_id=0)
-    b = run_chain(like, prior, config, chain_id=0)
-    c = run_chain(like, prior, config, chain_id=1)
+    a = run_chain(like, prior, config, [0])[0]
+    b = run_chain(like, prior, config, [0])[0]
+    c = run_chain(like, prior, config, [1])[0]
     assert a.draws.shape == (config.n_kept, 4 + 2 * dataset.p)
     np.testing.assert_array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.iterations, b.iterations)
@@ -322,7 +322,7 @@ def test_run_sampler_stacks_chains_in_order(bench_small):
     prior = PriorSpec()
     config = SamplerConfig(n_chains=3, n_iters=120, burn_in=60, thin=2, seed=5)
     s = run_sampler(dataset, prior, config)
-    chains = [run_chain(PortfolioLikelihood(dataset), prior, config, c) for c in range(3)]
+    chains = [run_chain(PortfolioLikelihood(dataset), prior, config, [c])[0] for c in range(3)]
     expected = np.vstack([r.draws for r in chains])
     assert s.matrix().tobytes() == expected.tobytes()
     p = dataset.p
@@ -347,14 +347,14 @@ def _chunk_and_a_bit(bench_small):
 
 def test_batched_scoring_gives_the_per_row_chain_bytes(bench_small, monkeypatch):
     like, prior, config, blocks = _chunk_and_a_bit(bench_small)
-    batched = run_chain(like, prior, config, 0, blocks)
+    batched = run_chain(like, prior, config, [0], blocks)[0]
 
     def per_row(self, risk, rows):
         return np.array([self.risk_loglik(risk, r[2:], LognormalBaseline(r[0], r[1]))
                          for r in rows])
 
     monkeypatch.setattr(PortfolioLikelihood, "risk_logliks", per_row)
-    looped = run_chain(like, prior, config, 0, blocks)
+    looped = run_chain(like, prior, config, [0], blocks)[0]
     assert batched.draws.tobytes() == looped.draws.tobytes()
     assert batched.iterations.tobytes() == looped.iterations.tobytes()
     assert batched.acceptance == looped.acceptance
@@ -362,26 +362,51 @@ def test_batched_scoring_gives_the_per_row_chain_bytes(bench_small, monkeypatch)
 
 def test_independence_proposals_are_scored_in_batched_passes(bench_small, monkeypatch):
     like, prior, config, blocks = _chunk_and_a_bit(bench_small)
+    chain_ids = [0, 1, 2]
     calls = []
     coef_parts = PortfolioLikelihood.coef_parts
 
     def counted(self, risk, theta, *args, **kwargs):
-        calls.append((risk, np.ndim(theta)))
+        calls.append((risk, np.shape(theta)[0] if np.ndim(theta) == 2 else None))
         return coef_parts(self, risk, theta, *args, **kwargs)
 
     monkeypatch.setattr(PortfolioLikelihood, "coef_parts", counted)
-    run_chain(like, prior, config, 0, blocks)
-    # per chunk, its independence sweeps in passes of _BATCH_ROWS rows; one
-    # point at the chain's start and at each random-walk sweep
+    run_chain(like, prior, config, chain_ids, blocks)
+    # per risk: one row per chain at the starts; per chunk, every chain's
+    # independence proposals in passes of _BATCH_ROWS rows, then one row per
+    # chain at each random-walk sweep; never one point alone
+    c, rows = len(chain_ids), likelihood._BATCH_ROWS
     sweeps = np.arange(1, config.n_iters + 1)
     chunks = np.split(sweeps, np.arange(mcmc._CHUNK, config.n_iters, mcmc._CHUNK))
-    n_ind = [int(np.sum(c % mcmc._CYCLE != 0)) for c in chunks]
+    n_ind = [int(np.sum(ch % mcmc._CYCLE != 0)) for ch in chunks]
     assert n_ind == [683, 3]
-    passes = sum(math.ceil(n / likelihood._BATCH_ROWS) for n in n_ind)
-    n_walk = config.n_iters - sum(n_ind)
+    want = [c]
+    for chunk, n in zip(chunks, n_ind):
+        full, rest = divmod(c * n, rows)
+        want += [rows] * full + [rest] * (rest > 0) + [c] * (chunk.size - n)
     for risk in RiskKind:
-        assert calls.count((risk, 2)) == passes
-        assert calls.count((risk, 1)) == 1 + n_walk
+        assert [n for r, n in calls if r is risk] == want
+
+
+def test_a_chain_run_alone_gives_its_lockstep_bytes(bench_small):
+    like, prior, config, blocks = _chunk_and_a_bit(bench_small)
+    together = run_chain(like, prior, config, [0, 1, 2], blocks)
+    alone = run_chain(like, prior, config, [2], blocks)[0]
+    assert alone.chain_id == together[2].chain_id == 2
+    assert alone.draws.tobytes() == together[2].draws.tobytes()
+    assert alone.iterations.tobytes() == together[2].iterations.tobytes()
+    assert alone.acceptance == together[2].acceptance
+
+
+def test_proposal_rows_do_not_depend_on_the_rows_beside_them(bench_small):
+    like, prior, _, blocks = _chunk_and_a_bit(bench_small)
+    for block in blocks:
+        u = block.independent(np.random.default_rng(3), 40)
+        want = block.evaluate(u, prior)
+        for k in (1, 2, 3, 5):
+            parts = [block.evaluate(u[i : i + k], prior) for i in range(0, len(u), k)]
+            for j, arr in enumerate(want):
+                assert np.concatenate([part[j] for part in parts]).tobytes() == arr.tobytes()
 
 
 def test_run_sampler_shapes_and_labels(bench_small):
