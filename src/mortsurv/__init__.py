@@ -35,7 +35,6 @@ from .mcmc import (
     PriorSpec,
     SamplerConfig,
     effective_sample_size,
-    log_posterior,
     run_chain,
     run_sampler,
     split_rhat,
@@ -115,7 +114,6 @@ __all__ = [
     "loan_diagnostics",
     "loan_loglik",
     "log_normal_survival",
-    "log_posterior",
     "lognormal_hazard",
     "make_benchmark",
     "observed_quantile",

@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"exit 0 even when some split R-hat exceeds {RHAT_GATE}",
     )
-    # accepted and ignored (the chains run in one thread), so existing scripts
-    # that pass it, such as bench/run.py, keep working
+    # accepted and ignored (the sampler always runs one thread per risk), so
+    # existing scripts that pass it, such as bench/run.py, keep working
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     common(p)
     p.set_defaults(func=cmd_fit)

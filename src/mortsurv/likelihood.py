@@ -60,8 +60,10 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 # rows per pass of ``risk_logliks``, which works in a few (rows, S) and
-# (rows, U) arrays: 16 to 64 rows cost the same per row on the benchmark books
-_BATCH_ROWS = 32
+# (rows, U) arrays: 16 to 64 rows cost the same per row on the benchmark books,
+# and the sampler runs one pass per risk at a time on two threads, so two
+# 16-row passes hold the memory of one 32-row pass
+_BATCH_ROWS = 16
 
 
 @dataclass(frozen=True)

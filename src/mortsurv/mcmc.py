@@ -29,6 +29,15 @@ log posteriors.  The chains' starts, and each random-walk sweep's
 proposals, are scored in one such call per risk with one row per chain,
 and each accept test runs over all chains at once.
 
+No risk reads the other's state, so each risk's share of a chunk (the
+scoring of its independence proposals, its random-walk sweeps and its
+accept tests) runs on a worker thread of its own, one per risk, while the
+calling thread draws every chain's numbers in the order of a serial run.
+Most of a scoring pass is ``log_ndtr`` over the distinct times, which
+releases the interpreter lock, so the two workers overlap there.  Each
+risk's arrays are touched by its worker only and the likelihood is read
+only, so the draws do not depend on how the threads are scheduled.
+
 The block is sampled in coordinates chosen per risk (``Coordinates``).
 When the design has an intercept column and the risk has events, the
 intercept, mu and sigma2 become
@@ -51,11 +60,13 @@ import functools
 import logging
 import math
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import PortfolioLikelihood, total_loglik
+from .likelihood import PortfolioLikelihood
 from .model import Dataset, LognormalBaseline, ModelParams, RiskKind
 
 __all__ = [
@@ -67,7 +78,6 @@ __all__ = [
     "PosteriorSamples",
     "ParamSummary",
     "InitializationError",
-    "log_posterior",
     "param_names",
     "laplace_block",
     "run_chain",
@@ -194,11 +204,6 @@ class SamplerConfig:
     def n_kept(self) -> int:
         """Recorded draws per chain."""
         return (self.n_iters - self.burn_in) // self.thin
-
-
-def log_posterior(data: Dataset, params: ModelParams, prior: PriorSpec) -> float:
-    """Unnormalized log-posterior: exact log-likelihood plus log-prior."""
-    return total_loglik(data, params) + prior.log_density(params)
 
 
 @dataclass(frozen=True)
@@ -518,6 +523,34 @@ def _scored(like, block, prior, u, score=True) -> tuple[np.ndarray, np.ndarray, 
     return values.reshape(*lead, -1), log_post.reshape(lead), log_q.reshape(lead)
 
 
+def _sweep_risk(like, prior, walk, block, s, fresh, steps, log_u) -> np.ndarray:
+    """One risk's share of a chunk of ``walk.size`` sweeps, for every chain.
+
+    Scores the independence proposals ``fresh`` (C, n, d) at the sweeps
+    that are not random-walk sweeps into slots 1..n of ``s``, then runs the
+    sweeps: each random-walk sweep scores its C proposals from ``steps``,
+    and each accept test compares ``log_u`` (C, n) over all chains at once.
+    Returns ``state`` (C, n + 1), each chain's slot after the chunk's first
+    i sweeps.  It touches no other risk's arrays, so the risks can run on
+    separate threads.
+    """
+    n, chains = walk.size, np.arange(len(fresh))
+    s.put(slice(1, n + 1), fresh, *_scored(like, block, prior, fresh, ~walk))
+    state = np.zeros((len(fresh), n + 1), dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            cur = state[:, i]
+            if walk[i]:
+                u = s.u[chains, cur] + steps[:, i]
+                s.put(i + 1, u, *_scored(like, block, prior, u))
+                log_ratio = s.log_post[:, i + 1] - s.log_post[chains, cur]
+            else:
+                log_ratio = s.gain[:, i + 1] - s.gain[chains, cur]
+            # NaN (both -inf) rejects
+            state[:, i + 1] = np.where(log_u[:, i] < log_ratio, i + 1, cur)
+    return state
+
+
 def run_chain(
     like: PortfolioLikelihood,
     prior: PriorSpec,
@@ -540,6 +573,9 @@ def run_chain(
     and each random-walk sweep's proposals in one batched likelihood call
     (``PortfolioLikelihood.risk_logliks``), whose rows do not depend on
     how many share the call; the accept tests run over all chains at once.
+    The calling thread draws every number; each risk's scoring and sweeps
+    run on a worker thread of its own (``_sweep_risk``), and the first
+    error, in risk order, is raised here once both workers have stopped.
     """
     blocks = blocks if blocks is not None else laplace_blocks(like, prior)
     chain_ids = list(chain_ids)
@@ -550,57 +586,58 @@ def run_chain(
     cols = [_draw_columns(b.risk, p) for b in blocks]
     slots = [_Slots.empty(n_chains, min(_CHUNK, config.n_iters), b.mode.size, p) for b in blocks]
     starts = [[block.independent(rng, 1)[0] for block in blocks] for rng in rngs]
-    for k, block in enumerate(blocks):
+
+    def score_start(k: int) -> None:
         u = np.array([start[k] for start in starts])
-        slots[k].put(0, u, *_scored(like, block, prior, u))
+        slots[k].put(0, u, *_scored(like, blocks[k], prior, u))
 
     iterations = np.empty(config.n_kept, dtype=np.int64)
     draws = np.empty((n_chains, config.n_kept, 4 + 2 * p))
     accepted = np.zeros((n_risks, n_chains), dtype=np.int64)
     kept = 0
     sweep = 0
-    while sweep < config.n_iters:
-        n = min(_CHUNK, config.n_iters - sweep)
-        # each chain's numbers in the order of a chain run alone, stacked over
-        # chains: independence proposals and steps per risk, then the uniforms
-        *proposals, uniform = (np.array(x) for x in zip(*(
-            [*(b.independent(rng, n) for b in blocks), *(b.steps(rng, n) for b in blocks),
-             rng.uniform(size=(n, n_risks))]
-            for rng in rngs
-        )))
-        fresh, steps = proposals[:n_risks], proposals[n_risks:]
-        with np.errstate(divide="ignore"):
-            log_u = np.log(uniform)  # (chain, sweep, risk)
-        sweeps = sweep + 1 + np.arange(n)
-        walk = sweeps % _CYCLE == 0
-        # independence proposals do not depend on the chains' states, so the
-        # chunk's are scored before the accept loop, in one batched call per risk
-        for k, block in enumerate(blocks):
-            slots[k].put(slice(1, n + 1), fresh[k], *_scored(like, block, prior, fresh[k], ~walk))
-        # state[k, :, i] is each chain's slot after the chunk's first i sweeps
-        state = np.zeros((n_risks, n_chains, n + 1), dtype=np.int64)
-        with np.errstate(invalid="ignore"):
-            for i in range(n):
-                for k, block in enumerate(blocks):
-                    s, cur = slots[k], state[k, :, i]
-                    if walk[i]:
-                        u = s.u[chains, cur] + steps[k][:, i]
-                        s.put(i + 1, u, *_scored(like, block, prior, u))
-                        log_ratio = s.log_post[:, i + 1] - s.log_post[chains, cur]
-                    else:
-                        log_ratio = s.gain[:, i + 1] - s.gain[chains, cur]
-                    # NaN (both -inf) rejects
-                    state[k, :, i + 1] = np.where(log_u[:, i, k] < log_ratio, i + 1, cur)
-        post = sweeps > config.burn_in
-        accepted += np.sum((state[:, :, 1:] == np.arange(1, n + 1)) & post, axis=2)
-        keep = np.flatnonzero(post & ((sweeps - config.burn_in) % config.thin == 0))
-        iterations[kept : kept + keep.size] = sweeps[keep]
-        for k, s in enumerate(slots):
-            at = state[k][:, keep + 1]
-            draws[:, kept : kept + keep.size, cols[k]] = s.values[chains[:, None], at]
-            s.put(0, *s.row(state[k, :, n]))
-        kept += keep.size
-        sweep += n
+    with ExitStack() as stack:
+        # one single-thread executor per risk, not one shared pool: a shared
+        # pool hands each task to whichever worker is idle, so a risk's
+        # arrays would pass from thread to thread between chunks
+        workers = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in blocks]
+
+        def per_risk(fn, *args) -> list:
+            """fn(*(a[k] for a in args)) on risk k's worker for each k; the
+            results in risk order, or the first error in risk order."""
+            futures = [w.submit(fn, *a) for w, *a in zip(workers, *args)]
+            return [f.result() for f in futures]
+
+        per_risk(score_start, range(n_risks))
+        while sweep < config.n_iters:
+            n = min(_CHUNK, config.n_iters - sweep)
+            # each chain's numbers in the order of a chain run alone, stacked
+            # over chains: independence proposals and steps per risk, then
+            # the uniforms
+            *proposals, uniform = (np.array(x) for x in zip(*(
+                [*(b.independent(rng, n) for b in blocks), *(b.steps(rng, n) for b in blocks),
+                 rng.uniform(size=(n, n_risks))]
+                for rng in rngs
+            )))
+            with np.errstate(divide="ignore"):
+                log_u = np.log(uniform)  # (chain, sweep, risk)
+            sweeps = sweep + 1 + np.arange(n)
+            walk = sweeps % _CYCLE == 0
+            # state[k, :, i] is each chain's slot after the chunk's first i sweeps
+            state = np.array(per_risk(
+                functools.partial(_sweep_risk, like, prior, walk), blocks, slots,
+                proposals[:n_risks], proposals[n_risks:], np.moveaxis(log_u, 2, 0),
+            ))
+            post = sweeps > config.burn_in
+            accepted += np.sum((state[:, :, 1:] == np.arange(1, n + 1)) & post, axis=2)
+            keep = np.flatnonzero(post & ((sweeps - config.burn_in) % config.thin == 0))
+            iterations[kept : kept + keep.size] = sweeps[keep]
+            for k, s in enumerate(slots):
+                at = state[k][:, keep + 1]
+                draws[:, kept : kept + keep.size, cols[k]] = s.values[chains[:, None], at]
+                s.put(0, *s.row(state[k, :, n]))
+            kept += keep.size
+            sweep += n
 
     n_post = config.n_iters - config.burn_in
     return [

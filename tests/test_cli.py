@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from importlib.resources import files
@@ -33,6 +34,7 @@ from mortsurv.predict import predictive_density, predictive_reliability
 
 from conftest import params_small, samples_at
 from test_ingest import orow, prow
+from test_mcmc import _recorded
 
 
 @pytest.fixture()
@@ -445,6 +447,19 @@ def test_threads_flag_is_accepted_and_ignored(tmp_path, sim_outputs, fit_config,
     capsys.readouterr()
     for name in ("draws.csv", "summary.csv", "acceptance.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_fit_exits_4_when_a_risk_worker_fails_and_leaves_no_thread(
+    sim_outputs, tmp_path, fit_config, monkeypatch, capsys
+):
+    _recorded(monkeypatch, fail=RiskKind.PREPAY)
+    before = threading.active_count()
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(fit_config), "--out-dir", str(tmp_path / "fit")])
+    assert rc == 4
+    assert capsys.readouterr().err == "error: prepay scoring failed\n"
+    assert threading.active_count() == before
+    assert not (tmp_path / "fit" / "draws.csv").exists()
 
 
 def test_out_dir_env_var(tmp_path, sim_config, monkeypatch, capsys):

@@ -4,6 +4,9 @@ convergence diagnostics, and summary construction."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,13 +26,13 @@ from mortsurv import (
     PriorSpec,
     RiskKind,
     SamplerConfig,
-    log_posterior,
     make_benchmark,
     run_chain,
     run_sampler,
     split_rhat,
     effective_sample_size,
     summarize,
+    total_loglik,
 )
 from mortsurv import likelihood, mcmc
 from mortsurv.mcmc import (
@@ -398,6 +401,65 @@ def test_a_chain_run_alone_gives_its_lockstep_bytes(bench_small):
     assert alone.acceptance == together[2].acceptance
 
 
+def test_thread_scheduling_does_not_change_the_bytes(bench_small, monkeypatch):
+    like, prior, config, blocks = _chunk_and_a_bit(bench_small)
+    # switch threads as often as the interpreter allows, so the two risk
+    # workers interleave as finely as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_chain(like, prior, config, [0, 1, 2], blocks)
+    finally:
+        sys.setswitchinterval(interval)
+    # both risks on one shared worker, one risk's share of a chunk after the other
+    with ThreadPoolExecutor(max_workers=1) as shared:
+        monkeypatch.setattr(mcmc, "ThreadPoolExecutor", lambda max_workers: shared)
+        serial = run_chain(like, prior, config, [0, 1, 2], blocks)
+    for a, b in zip(threaded, serial):
+        assert a.draws.tobytes() == b.draws.tobytes()
+        assert a.iterations.tobytes() == b.iterations.tobytes()
+        assert a.acceptance == b.acceptance
+
+
+def _recorded(monkeypatch, fail: RiskKind | None = None) -> list[tuple[RiskKind, int]]:
+    """Patch ``risk_logliks`` to record each call's risk and thread, and to
+    raise ValueError for the risk ``fail``."""
+    calls = []
+    risk_logliks = PortfolioLikelihood.risk_logliks
+
+    def recorded(self, risk, rows):
+        calls.append((risk, threading.get_ident()))
+        if risk is fail:
+            raise ValueError(f"{risk.value} scoring failed")
+        return risk_logliks(self, risk, rows)
+
+    monkeypatch.setattr(PortfolioLikelihood, "risk_logliks", recorded)
+    return calls
+
+
+def test_each_risk_is_scored_on_a_worker_of_its_own(bench_small, monkeypatch):
+    like, prior, config, blocks = _chunk_and_a_bit(bench_small)
+    calls = _recorded(monkeypatch)
+    before = threading.active_count()
+    run_chain(like, prior, config, [0, 1, 2], blocks)
+    assert threading.active_count() == before
+    threads = {risk: {t for r, t in calls if r is risk} for risk in RiskKind}
+    assert all(len(ids) == 1 for ids in threads.values()), threads
+    default, prepay = (ids.pop() for ids in threads.values())
+    assert default != prepay
+    assert threading.get_ident() not in (default, prepay)
+
+
+def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(bench_small, monkeypatch):
+    dataset, _ = bench_small
+    _recorded(monkeypatch, fail=RiskKind.PREPAY)
+    before = threading.active_count()
+    config = SamplerConfig(n_chains=2, n_iters=20, burn_in=10, thin=1, seed=1)
+    with pytest.raises(ValueError, match="^prepay scoring failed$"):
+        run_sampler(dataset, config=config)
+    assert threading.active_count() == before
+
+
 def test_proposal_rows_do_not_depend_on_the_rows_beside_them(bench_small):
     like, prior, _, blocks = _chunk_and_a_bit(bench_small)
     for block in blocks:
@@ -429,7 +491,8 @@ def test_chain_moves_toward_higher_posterior_than_start(bench_small):
     prior = PriorSpec()
     config = SamplerConfig(n_chains=1, n_iters=800, burn_in=400, thin=4, seed=2)
     s = run_sampler(dataset, config=config)
-    lp_end = log_posterior(dataset, s.params_at(s.n_draws - 1), prior)
+    end = s.params_at(s.n_draws - 1)
+    lp_end = total_loglik(dataset, end) + prior.log_density(end)
     from mortsurv import LognormalBaseline, ModelParams
 
     start = ModelParams(
@@ -438,7 +501,7 @@ def test_chain_moves_toward_higher_posterior_than_start(bench_small):
         theta_default=np.zeros(dataset.p),
         theta_prepay=np.zeros(dataset.p),
     )
-    assert lp_end > log_posterior(dataset, start, prior)
+    assert lp_end > total_loglik(dataset, start) + prior.log_density(start)
 
 
 def test_initialization_error_is_a_value_error():
