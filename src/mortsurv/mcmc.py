@@ -585,12 +585,9 @@ def run_chain(
     chains = np.arange(n_chains)
     cols = [_draw_columns(b.risk, p) for b in blocks]
     slots = [_Slots.empty(n_chains, min(_CHUNK, config.n_iters), b.mode.size, p) for b in blocks]
-    starts = [[block.independent(rng, 1)[0] for block in blocks] for rng in rngs]
-
-    def score_start(k: int) -> None:
-        u = np.array([start[k] for start in starts])
-        slots[k].put(0, u, *_scored(like, blocks[k], prior, u))
-
+    # each risk's starts, one row per chain, drawn chain by chain
+    starts = [np.array(u)
+              for u in zip(*([b.independent(rng, 1)[0] for b in blocks] for rng in rngs))]
     iterations = np.empty(config.n_kept, dtype=np.int64)
     draws = np.empty((n_chains, config.n_kept, 4 + 2 * p))
     accepted = np.zeros((n_risks, n_chains), dtype=np.int64)
@@ -608,7 +605,8 @@ def run_chain(
             futures = [w.submit(fn, *a) for w, *a in zip(workers, *args)]
             return [f.result() for f in futures]
 
-        per_risk(score_start, range(n_risks))
+        per_risk(lambda block, s, u: s.put(0, u, *_scored(like, block, prior, u)),
+                 blocks, slots, starts)
         while sweep < config.n_iters:
             n = min(_CHUNK, config.n_iters - sweep)
             # each chain's numbers in the order of a chain run alone, stacked
