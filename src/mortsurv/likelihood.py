@@ -6,13 +6,12 @@ loan's observation window, and censored loans contribute only the
 integrals.  Within one risk it factors further into a coefficient part
 (terms depending on theta) and a baseline part (terms depending on mu,
 sigma2), joined by a single weighted sum over covariate-constant segments.
-``risk_loglik`` evaluates one point as one ``coef_parts`` plus one
-``baseline_parts``.  Both parts also take a leading row axis, and
-``risk_logliks`` scores many points (the sampler's proposals of every chain)
-in passes of ``_BATCH_ROWS`` rows through them, one matrix of z and one
+Every point is a row (mu, sigma2, theta).  ``risk_logliks`` scores many
+rows (the sampler's proposals of every chain) in passes of ``_BATCH_ROWS``
+rows through ``coef_parts`` and ``baseline_parts``, one matrix of z and one
 log-survival call per pass.  ``risk_loglik_derivs`` adds the gradient and
-Hessian in (theta, mu, log sigma2) for the sampler's mode search, from the
-same log-survival pass.
+Hessian in (theta, mu, log sigma2) for the sampler's mode search, from a
+1-row pass of the same code.
 
 The baseline part costs one normal log-survival evaluation per distinct
 positive segment boundary time, not per segment: each segment's
@@ -22,13 +21,7 @@ hazards reuse the same pass, since event times are segment ends.
 Ingested exit times are whole months, so a large book has a few hundred
 distinct times whatever its size.  Per-segment and per-event values are
 the same elementwise arithmetic as evaluating each segment on its own.
-
-At one point, all reductions go through ``np.sum`` (pairwise,
-single-threaded) over segments and events in dataset order, so a given
-dataset and parameter point always produces the bit-identical float.  A
-row of a batched pass has the same segment weights and per-time values,
-summed in another fixed order (see ``risk_logliks``), so it agrees with
-the one-point value to rounding.  Each row is reduced on its own, never
+Each row is reduced on its own through ``np.sum`` in a fixed order, never
 through a matrix product over rows, so its value is the same bits however
 many rows share the call and wherever it sits among them.
 """
@@ -43,7 +36,6 @@ from scipy import special as sps
 
 from .model import (
     Dataset,
-    LognormalBaseline,
     LoanObservation,
     ModelParams,
     RiskKind,
@@ -68,20 +60,18 @@ _BATCH_ROWS = 16
 
 @dataclass(frozen=True)
 class CoefParts:
-    """Theta-dependent pieces of one risk's log-likelihood, at one point
-    or (with a leading row axis) at each of n rows."""
+    """Theta-dependent pieces of one risk's log-likelihood at each of n rows."""
 
-    event_eta_sum: float | np.ndarray  # float, or shape (n,)
-    seg_weights: np.ndarray  # exp(theta' x) per segment, shape (S,) or (n, S)
+    event_eta_sum: np.ndarray  # shape (n,)
+    seg_weights: np.ndarray  # exp(theta' x) per segment, shape (n, S)
 
 
 @dataclass(frozen=True)
 class BaselineParts:
-    """(mu, sigma2)-dependent pieces of one risk's log-likelihood, at one
-    point or (with a leading row axis) at each of n rows."""
+    """(mu, sigma2)-dependent pieces of one risk's log-likelihood at each of n rows."""
 
-    event_logr_sum: float | np.ndarray  # float, or shape (n,)
-    seg_cumhaz: np.ndarray  # integrated baseline rate per segment, shape (S,) or (n, S)
+    event_logr_sum: np.ndarray  # shape (n,)
+    seg_cumhaz: np.ndarray  # integrated baseline rate per segment, shape (n, S)
 
 
 class PortfolioLikelihood:
@@ -129,18 +119,17 @@ class PortfolioLikelihood:
         last = np.flatnonzero(hi == t)
         event = {r: last[np.array([s is r for s in risks], dtype=bool)] for r in RiskKind}
         self._event_t = {r: hi[i] for r, i in event.items()}
-        self._event_x = {r: self._seg_x[i] for r, i in event.items()}
         self._event_idx = {r: self._hi_idx[i] for r, i in event.items()}
-        # the batched pass sums over each risk's distinct event times, each
-        # weighted by its number of events, and over the summed event covariates
+        # a row sums over each risk's distinct event times, each weighted by
+        # its number of events, and over the summed event covariates
         self._event_at = {}
         for r, i in self._event_idx.items():
             at, count = np.unique(i, return_counts=True)
             self._event_at[r] = at, count.astype(float)
-        self._event_x_sum = {r: x.sum(axis=0) for r, x in self._event_x.items()}
+        self._event_x_sum = {r: self._seg_x[i].sum(axis=0) for r, i in event.items()}
         for arr in (self._seg_x, self._log_times, self._hi_idx, self._inner, self._inner_lo_idx):
             arr.setflags(write=False)
-        for d in (self._event_t, self._event_x, self._event_idx, self._event_x_sum):
+        for d in (self._event_t, self._event_idx, self._event_x_sum):
             for arr in d.values():
                 arr.setflags(write=False)
 
@@ -160,108 +149,83 @@ class PortfolioLikelihood:
         return self._event_t[risk]
 
     def coef_parts(self, risk: RiskKind, theta: np.ndarray, out=None) -> CoefParts:
-        """Everything in risk's log-likelihood that depends on theta, at one
-        theta of shape (p,) or at each row of an (n, p) array; for rows,
-        ``out`` may give the (n, S) array to hold the weights."""
+        """Everything in risk's log-likelihood that depends on theta, at each
+        row of an (n, p) array; ``out`` may give the (n, S) array to hold
+        the weights."""
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            eta_sum = float(np.sum(self._event_x[risk] @ theta))
-            eta = self._seg_x @ theta
-        else:
-            eta_sum = np.sum(theta * self._event_x_sum[risk], axis=1)
-            eta = np.empty((len(theta), self.n_segments)) if out is None else out
-            # a matrix-vector product per row, the same as at one point,
-            # not one matrix product: exp would turn its rounding difference
-            # in theta'x into a relative one of eps |theta'x| in the weight
-            np.matmul(self._seg_x, theta[:, :, None], out=eta[:, :, None])
+        eta_sum = np.sum(theta * self._event_x_sum[risk], axis=1)
+        eta = np.empty((len(theta), self.n_segments)) if out is None else out
+        # a matrix-vector product per row, whose weights are exp(seg_x @ theta)
+        # bit for bit, not one matrix product: exp would turn its rounding
+        # difference in theta'x into a relative one of eps |theta'x| in the weight
+        np.matmul(self._seg_x, theta[:, :, None], out=eta[:, :, None])
         with np.errstate(over="ignore"):
             return CoefParts(eta_sum, np.exp(eta, out=eta))
 
-    def baseline_parts(
-        self, risk: RiskKind, baseline: LognormalBaseline | np.ndarray, out=None
-    ) -> BaselineParts:
+    def baseline_parts(self, risk: RiskKind, baseline: np.ndarray, out=None) -> BaselineParts:
         """Everything in risk's log-likelihood that depends on (mu, sigma2),
-        at one ``LognormalBaseline`` or at each (mu, sigma2) row of an
-        (n, 2) array; ``out`` may give the arrays to work in, for z and H0
-        at the distinct times and for the segments' integrated baselines.
+        at each (mu, sigma2) row of an (n, 2) array; ``out`` may give the
+        arrays to work in, for z and H0 at the distinct times and for the
+        segments' integrated baselines.
 
         One log-survival pass over the distinct times gives the integrated
         baseline H0 = -log S0 at every segment end and, with the log-pdf at
         the same z, the log hazard at every event time.  Each per-segment
-        and per-event value is the arithmetic of evaluating that segment or
-        event on its own, so at one point the sums match it bit for bit.
+        and per-time value is the arithmetic of evaluating that segment or
+        time on its own.
         """
         return self._baseline_pass(risk, baseline, out)[0]
 
     def _baseline_pass(
-        self, risk: RiskKind, baseline: LognormalBaseline | np.ndarray, out=None
+        self, risk: RiskKind, baseline: np.ndarray, out=None
     ) -> tuple[BaselineParts, np.ndarray]:
         """``baseline_parts`` with the z of every distinct time (one row of
         them per baseline row)."""
         z_out, h0_out, seg_out = out if out is not None else (None, None, None)
-        if isinstance(baseline, LognormalBaseline):
-            mu, sigma, sigma2 = baseline.mu, baseline.sigma, baseline.sigma2
-        else:
-            mu, sigma2 = baseline[:, :1], baseline[:, 1:]
-            sigma = np.sqrt(sigma2)
+        mu, sigma2 = baseline[:, :1], baseline[:, 1:]
         z = np.subtract(self._log_times, mu, out=z_out)
-        z /= sigma
+        z /= np.sqrt(sigma2)
         h0 = log_normal_survival(z, out=h0_out)
         np.negative(h0, out=h0)
         cumhaz = self._per_segment(h0, out=seg_out)
         np.maximum(cumhaz, 0.0, out=cumhaz)
-        if z.ndim == 1:
-            logr_sum = float(np.sum(self._log_hazard(self._event_idx[risk], z, h0, sigma2)))
-        else:
-            # each distinct event time once, weighted by its number of events
-            at, count = self._event_at[risk]
-            logr_sum = np.sum(self._log_hazard(at, z, h0, sigma2) * count, axis=1)
+        # each distinct event time once, weighted by its number of events
+        at, count = self._event_at[risk]
+        log_r = _lognormal_log_pdf(self._log_times[at], z[:, at], sigma2) + h0[:, at]
+        logr_sum = np.sum(log_r * count, axis=1)
         return BaselineParts(event_logr_sum=logr_sum, seg_cumhaz=cumhaz), z
-
-    def _log_hazard(self, at, z, h0, sigma2):
-        """The log baseline hazard at the distinct times indexed by ``at``,
-        from z and H0 at every distinct time (last axis)."""
-        return _lognormal_log_pdf(self._log_times[at], z[..., at], sigma2) + h0[..., at]
 
     def _per_segment(self, at_times: np.ndarray, out=None) -> np.ndarray:
         """Each segment's increment of a function of time given at the
         distinct times (last axis): its value at the segment end, minus its
         value at the start for a segment that starts after time 0."""
-        if out is None:
-            # for a 2-D input this is Fortran-ordered, and that order fixes
-            # the sums of ``risk_loglik_derivs``
-            out = at_times[..., self._hi_idx]
-        else:
-            # the indices are in range by construction; "clip" writes to
-            # ``out`` directly where the default mode would buffer
-            np.take(at_times, self._hi_idx, axis=-1, out=out, mode="clip")
+        # the indices are in range by construction; "clip" writes to ``out``
+        # directly where the default mode would buffer
+        out = np.take(at_times, self._hi_idx, axis=-1, out=out, mode="clip")
         out[..., self._inner] -= at_times[..., self._inner_lo_idx]
         return out
 
     @staticmethod
-    def combine(coef: CoefParts, base: BaselineParts):
-        """Assemble one risk's log-likelihood from its two parts: a float,
-        or one value per row for parts with a leading row axis."""
-        w, cumhaz = coef.seg_weights, base.seg_cumhaz
+    def combine(coef: CoefParts, base: BaselineParts) -> np.ndarray:
+        """Assemble one risk's log-likelihood from its two parts, one value
+        per row."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = np.sum(coef.seg_weights * base.seg_cumhaz, axis=1)
         # inf * 0 only occurs when exp(theta'x) overflowed; such a point is
         # beyond float range for the true likelihood too, so treat as -inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            if w.ndim == 1:
-                lam = float(np.sum(w * cumhaz))
-                lam = math.inf if math.isnan(lam) else lam
-            else:
-                lam = np.sum(w * cumhaz, axis=1)
-                lam[np.isnan(lam)] = math.inf
+        lam[np.isnan(lam)] = math.inf
         return coef.event_eta_sum + base.event_logr_sum - lam
 
     def risk_loglik_derivs(
-        self, risk: RiskKind, theta: np.ndarray, baseline: LognormalBaseline
+        self, risk: RiskKind, row: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """One risk's log-likelihood with its gradient and Hessian in
+        """One risk's log-likelihood at a row (mu, sigma2, theta), the value
+        ``risk_logliks`` gives it, with its gradient and Hessian in
         (theta, mu, log sigma2).
 
-        The derivatives reuse the z of the log-survival pass of
-        ``baseline_parts``.  With M(z) = phi(z) / S0(z), the inverse Mills
+        A 1-row pass of ``coef_parts`` and ``baseline_parts`` gives the
+        value, the weights, the integrated baselines and the z of every
+        distinct time.  With M(z) = phi(z) / S0(z), the inverse Mills
         ratio, H0 = -log S0 has dH0/dz = M and d2H0/dz2 = M' = M (M - z),
         while dz/dmu = -1/sigma and dz/dlog sigma2 = -z/2.  That gives the
         first and second derivatives of H0 in (mu, log sigma2) at every
@@ -271,14 +235,16 @@ class PortfolioLikelihood:
         the summed event covariates minus ``seg_x' (weights * cumhaz)`` and
         the Hessian block is ``-seg_x' diag(weights * cumhaz) seg_x``.
 
-        The value equals ``risk_loglik``.  The gradient and Hessian hold
-        non-finite entries where the value is -inf through overflow, and the
-        Hessian alone can overflow where the covariates are huge.
+        The gradient and Hessian hold non-finite entries where the value is
+        -inf through overflow, and the Hessian alone can overflow where the
+        covariates are huge.
         """
-        coef = self.coef_parts(risk, theta)
-        base, z = self._baseline_pass(risk, baseline)
-        ll = self.combine(coef, base)
-        sigma, w, idx = baseline.sigma, coef.seg_weights, self._event_idx[risk]
+        rows = np.asarray(row, dtype=float)[None]
+        coef = self.coef_parts(risk, rows[:, 2:])
+        base, z = self._baseline_pass(risk, rows[:, :2])
+        ll = float(self.combine(coef, base)[0])
+        z, w, cumhaz = z[0], coef.seg_weights[0], base.seg_cumhaz[0]
+        sigma, idx = math.sqrt(rows[0, 1]), self._event_idx[risk]
         p = self._seg_x.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
             # phi(z) / S0(z) = sqrt(2/pi) / erfcx(z/sqrt(2)), which keeps M - z
@@ -295,9 +261,12 @@ class PortfolioLikelihood:
                 z_e / sigma, 0.5 * (z_e * z_e - 1.0), np.full(idx.size, -1.0 / sigma**2),
                 -z_e / sigma, -0.5 * z_e * z_e,
             ))
-            seg = self._per_segment(h0) * w
+            # the (5, S) matrix in Fortran order, not C order: its row sums
+            # below add in its memory order, and the mode search's steps,
+            # so every draw of a fit, follow those sums to the last bit
+            seg = self._per_segment(h0, out=np.empty((self.n_segments, 5)).T) * w
             g_mu, g_l, h_mumu, h_mul, h_ll = log_r.sum(axis=1) - seg.sum(axis=1)
-            wh = w * base.seg_cumhaz
+            wh = w * cumhaz
             g_theta = self._event_x_sum[risk] - self._seg_x.T @ wh
             hess = np.empty((p + 2, p + 2))
             hess[:p, :p] = -(self._seg_x.T * wh) @ self._seg_x
@@ -314,21 +283,15 @@ class PortfolioLikelihood:
         ones = np.flatnonzero(np.all(self._seg_x == 1.0, axis=0))
         return int(ones[0]) if ones.size else None
 
-    def risk_loglik(
-        self, risk: RiskKind, theta: np.ndarray, baseline: LognormalBaseline
-    ) -> float:
-        """One risk's contribution to the portfolio log-likelihood."""
-        return self.combine(self.coef_parts(risk, theta), self.baseline_parts(risk, baseline))
-
     def risk_logliks(self, risk: RiskKind, rows: np.ndarray) -> np.ndarray:
-        """``risk_loglik`` at each row (mu, sigma2, theta) of an
+        """One risk's log-likelihood at each row (mu, sigma2, theta) of an
         (n, 2 + p) array, ``_BATCH_ROWS`` rows per pass of the parts.
 
-        Each row's segment weights are the one-point weights bit for bit;
-        the sums differ from ``risk_loglik`` by rounding only, since the
-        event covariates are summed before the product with theta and the
-        event log hazards once per distinct time with its number of events
-        as weight.  A row's value does not depend on the other rows.
+        Each row is reduced on its own: the event covariates are summed
+        before the product with theta, the event log hazards once per
+        distinct time with its number of events as weight, and the
+        integrated hazards over the segments in dataset order.  A row's
+        value does not depend on the other rows.
         """
         out = np.empty(len(rows))
         n = min(len(rows), _BATCH_ROWS)
@@ -343,12 +306,6 @@ class PortfolioLikelihood:
             base = self.baseline_parts(risk, batch[:, :2], out=(*times[:, :k], seg[1, :k]))
             out[start : start + k] = self.combine(coef, base)
         return out
-
-    def total(self, params: ModelParams) -> float:
-        """Full log-likelihood at ``params`` (0.0 for an empty portfolio)."""
-        return self.risk_loglik(
-            RiskKind.DEFAULT, params.theta_default, params.baseline_default
-        ) + self.risk_loglik(RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay)
 
 
 def loan_loglik(loan: LoanObservation, params: ModelParams) -> float:
@@ -372,5 +329,12 @@ def loan_loglik(loan: LoanObservation, params: ModelParams) -> float:
 
 
 def total_loglik(dataset: Dataset, params: ModelParams) -> float:
-    """Portfolio log-likelihood; equals the sum of ``loan_loglik`` terms."""
-    return PortfolioLikelihood(dataset).total(params)
+    """Portfolio log-likelihood; equals the sum of ``loan_loglik`` terms
+    (0.0 for an empty portfolio)."""
+    like = PortfolioLikelihood(dataset)
+    total = 0.0
+    for risk in RiskKind:
+        baseline = params.baseline(risk)
+        row = np.concatenate(((baseline.mu, baseline.sigma2), params.theta(risk)))
+        total += float(like.risk_logliks(risk, row[None])[0])
+    return total

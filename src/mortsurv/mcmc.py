@@ -3,7 +3,7 @@
 The posterior factors over the two risks, so each risk is one block of
 its coefficients, log-time location and log-time variance.  Once per fit,
 ``laplace_block`` finds the block's posterior mode by a damped Newton
-search on the analytic gradient and Hessian
+search on the analytic gradient and Hessian of a 1-row likelihood pass
 (``PortfolioLikelihood.risk_loglik_derivs``), which also gives the Hessian
 at the mode; a search that stops short of the mode logs a warning.
 Every sweep then makes one proposal per risk.  Two sweeps in three draw
@@ -336,8 +336,9 @@ def _log_target(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log posterior density of one risk's block at model values
     x = (theta, mu, l), plus ``power`` * l, up to a constant, with its
-    gradient and Hessian in x; (-inf, NaN, NaN) where the value or the
-    gradient is not finite.  The Hessian may be non-finite on its own."""
+    gradient and Hessian in x, from the likelihood row (mu, exp(l), theta);
+    (-inf, NaN, NaN) where the value or the gradient is not finite.  The
+    Hessian may be non-finite on its own."""
     d = x.size
     failed = -math.inf, np.full(d, math.nan), np.full((d, d), math.nan)
     theta, mu, l = x[:-2], float(x[-2]), float(x[-1])
@@ -345,7 +346,7 @@ def _log_target(
         s2 = float(np.exp(l))
         if not (np.all(np.isfinite(x)) and 0.0 < s2 < math.inf):
             return failed
-        ll, grad, hess = like.risk_loglik_derivs(risk, theta, LognormalBaseline(mu, s2))
+        ll, grad, hess = like.risk_loglik_derivs(risk, np.concatenate(((mu, s2), theta)))
         prior_grad, prior_diag = prior.risk_log_density_derivs(theta, mu, l)
         value = ll + float(prior.risk_log_density(theta, mu, l)) + power * l
         grad = grad + prior_grad

@@ -29,6 +29,16 @@ from mortsurv.model import _integrated_baseline, log_normal_survival
 from conftest import params_small
 
 
+def _row(theta, baseline):
+    """The row (mu, sigma2, theta) of one risk's parameters."""
+    return np.concatenate(((baseline.mu, baseline.sigma2), theta))
+
+
+def _loglik(like, risk, theta, baseline):
+    """One risk's log-likelihood at one point, as a 1-row ``risk_logliks`` call."""
+    return float(like.risk_logliks(risk, _row(theta, baseline)[None])[0])
+
+
 def _single_loan_dataset(status, time, x, p=4):
     path = CovariatePath.constant(np.asarray(x, dtype=float))
     loan = LoanObservation("a", status, time, path)
@@ -78,8 +88,8 @@ def test_vectorized_total_equals_scalar_sum(bench_small):
     dataset, truth = bench_small
     like = PortfolioLikelihood(dataset)
     params = truth.params
-    total = (like.risk_loglik(RiskKind.DEFAULT, params.theta_default, params.baseline_default)
-             + like.risk_loglik(RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay))
+    total = (_loglik(like, RiskKind.DEFAULT, params.theta_default, params.baseline_default)
+             + _loglik(like, RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay))
     scalar = sum(loan_loglik(loan, params) for loan in dataset.loans)
     assert total == pytest.approx(scalar, rel=1e-12)
     assert total_loglik(dataset, params) == pytest.approx(scalar, rel=1e-12)
@@ -101,13 +111,13 @@ def test_vectorized_matches_scalar_on_multi_interval_paths():
         loans.append(LoanObservation(f"L{i}", status, t, path))
     ds = Dataset(loans=tuple(loans), schema=("c0", "c1", "c2"))
     like = PortfolioLikelihood(ds)
-    total = (like.risk_loglik(RiskKind.DEFAULT, params.theta_default, params.baseline_default)
-             + like.risk_loglik(RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay))
+    total = (_loglik(like, RiskKind.DEFAULT, params.theta_default, params.baseline_default)
+             + _loglik(like, RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay))
     scalar = sum(loan_loglik(loan, params) for loan in ds.loans)
     assert total == pytest.approx(scalar, rel=1e-11)
 
 
-def test_parts_recombine_to_risk_loglik(bench_small):
+def test_parts_recombine_to_risk_logliks(bench_small):
     dataset, truth = bench_small
     like = PortfolioLikelihood(dataset)
     params = truth.params
@@ -115,10 +125,11 @@ def test_parts_recombine_to_risk_loglik(bench_small):
         (RiskKind.DEFAULT, params.theta_default, params.baseline_default),
         (RiskKind.PREPAY, params.theta_prepay, params.baseline_prepay),
     ]:
-        coef = like.coef_parts(risk, theta)
-        basep = like.baseline_parts(risk, base)
+        row = _row(theta, base)[None]
+        coef = like.coef_parts(risk, row[:, 2:])
+        basep = like.baseline_parts(risk, row[:, :2])
         combined = PortfolioLikelihood.combine(coef, basep)
-        assert combined == like.risk_loglik(risk, theta, base)
+        assert combined.tobytes() == like.risk_logliks(risk, row).tobytes()
 
 
 def test_part_swap_updates_only_its_factor(bench_small):
@@ -126,17 +137,17 @@ def test_part_swap_updates_only_its_factor(bench_small):
     dataset, truth = bench_small
     like = PortfolioLikelihood(dataset)
     params = truth.params
-    theta2 = params.theta_default + 0.25
-    base2 = LognormalBaseline(params.baseline_default.mu + 0.3,
-                              params.baseline_default.sigma2)
-    basep = like.baseline_parts(RiskKind.DEFAULT, params.baseline_default)
-    coef2 = like.coef_parts(RiskKind.DEFAULT, theta2)
-    assert PortfolioLikelihood.combine(coef2, basep) == pytest.approx(
-        like.risk_loglik(RiskKind.DEFAULT, theta2, params.baseline_default), rel=0)
-    coef = like.coef_parts(RiskKind.DEFAULT, params.theta_default)
-    basep2 = like.baseline_parts(RiskKind.DEFAULT, base2)
-    assert PortfolioLikelihood.combine(coef, basep2) == pytest.approx(
-        like.risk_loglik(RiskKind.DEFAULT, params.theta_default, base2), rel=0)
+    theta, base = params.theta_default, params.baseline_default
+    theta2 = theta + 0.25
+    base2 = LognormalBaseline(base.mu + 0.3, base.sigma2)
+    basep = like.baseline_parts(RiskKind.DEFAULT, np.array([[base.mu, base.sigma2]]))
+    coef2 = like.coef_parts(RiskKind.DEFAULT, theta2[None])
+    assert PortfolioLikelihood.combine(coef2, basep)[0] == _loglik(
+        like, RiskKind.DEFAULT, theta2, base)
+    coef = like.coef_parts(RiskKind.DEFAULT, theta[None])
+    basep2 = like.baseline_parts(RiskKind.DEFAULT, np.array([[base2.mu, base2.sigma2]]))
+    assert PortfolioLikelihood.combine(coef, basep2)[0] == _loglik(
+        like, RiskKind.DEFAULT, theta, base2)
 
 
 def test_empty_dataset_loglik_is_zero():
@@ -160,7 +171,7 @@ def test_overflowing_coefficients_give_minus_inf_not_nan():
     )
     ds = _single_loan_dataset(LoanStatus.DEFAULTED, 3.5, [1.0, 0.5, -1.2, 0.3])
     like = PortfolioLikelihood(ds)
-    val = like.risk_loglik(RiskKind.DEFAULT, huge.theta_default, huge.baseline_default)
+    val = _loglik(like, RiskKind.DEFAULT, huge.theta_default, huge.baseline_default)
     assert val == -math.inf
     assert not math.isnan(val)
 
@@ -189,9 +200,12 @@ def test_event_times_accessor_matches_dataset(bench_small):
 def test_schema_mismatch_rejected(bench_small):
     dataset, truth = bench_small
     like = PortfolioLikelihood(dataset)
-    short = np.zeros(2)
-    with pytest.raises(ValueError):
-        like.risk_loglik(RiskKind.DEFAULT, short, truth.params.baseline_default)
+    for p in (1, dataset.p - 1, dataset.p + 1):
+        row = _row(np.zeros(p), truth.params.baseline_default)
+        with pytest.raises(ValueError):
+            like.risk_logliks(RiskKind.DEFAULT, row[None])
+        with pytest.raises(ValueError):
+            like.risk_loglik_derivs(RiskKind.DEFAULT, row)
 
 
 # --- distinct-time baseline evaluation ------------------------------------------
@@ -200,15 +214,17 @@ def test_schema_mismatch_rejected(bench_small):
 def _reference_log_hazard(t, baseline):
     logt = np.log(t)
     z = (logt - baseline.mu) / baseline.sigma
-    log_pdf = -0.5 * math.log(2.0 * math.pi * baseline.sigma2) - logt - 0.5 * z * z
+    # np.log on an array, as a row's pass takes it: math.log differs from
+    # it in the last bit for a few sigma2 in ten thousand
+    log_var = float(np.log(2.0 * math.pi * np.asarray(baseline.sigma2)))
+    log_pdf = -0.5 * log_var - logt - 0.5 * z * z
     return log_pdf - log_normal_survival(z)
 
 
-def _per_segment_baseline_parts(dataset, risk, baseline):
-    """Reference: every segment and event evaluated on its own, in dataset
-    order.  Returns the event log-hazard sum and each segment's integrated
-    baseline, then each segment's covariates, each event's time and the
-    covariates in force at it."""
+def _segments(dataset, risk):
+    """Reference: every segment and every event of ``risk``, in dataset
+    order: each segment's start, end and covariates, then each event's time
+    and the covariates in force at it."""
     lo, hi, seg_x, events, event_x = [], [], [], [], []
     for loan in dataset.loans:
         bounds = loan.covariates.boundaries
@@ -221,12 +237,31 @@ def _per_segment_baseline_parts(dataset, risk, baseline):
             event_x.append(covariate_at(loan.covariates, loan.time))
     lo = np.concatenate(lo) if lo else np.empty(0)
     hi = np.concatenate(hi) if hi else np.empty(0)
+    p = dataset.p
     t = np.asarray(events, dtype=float)
-    logr_sum = float(np.sum(_reference_log_hazard(t, baseline))) if t.size else 0.0
+    return lo, hi, np.reshape(seg_x, (-1, p)), t, np.reshape(event_x, (-1, p))
+
+
+def _per_segment_baseline_parts(segments, baseline):
+    """Reference: each segment's integrated baseline and each event's log
+    hazard, every one evaluated on its own."""
+    lo, hi, _, t, _ = segments
     cumhaz = _integrated_baseline(hi, baseline) - _integrated_baseline(lo, baseline)
     np.maximum(cumhaz, 0.0, out=cumhaz)
-    p = dataset.p
-    return logr_sum, cumhaz, np.reshape(seg_x, (-1, p)), t, np.reshape(event_x, (-1, p))
+    return cumhaz, _reference_log_hazard(t, baseline)
+
+
+def _per_segment_loglik(segments, row):
+    """Reference: one risk's log-likelihood at a row (mu, sigma2, theta),
+    summed over the segments and the events in dataset order."""
+    _, _, seg_x, _, event_x = segments
+    theta = row[2:]
+    cumhaz, log_r = _per_segment_baseline_parts(segments, LognormalBaseline(row[0], row[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = float(np.sum(np.exp(seg_x @ theta) * cumhaz))
+    # inf * 0 where exp overflowed: the point is beyond float range
+    lam = math.inf if math.isnan(lam) else lam
+    return float(np.sum(event_x @ theta)) + float(np.sum(log_r)) - lam
 
 
 def _monthly_book(with_defaults: bool) -> Dataset:
@@ -261,24 +296,27 @@ BOOKS = {
 def test_baseline_parts_bitwise_equal_per_segment_formula(book):
     dataset = BOOKS[book]
     like = PortfolioLikelihood(dataset)
+    segments = {risk: _segments(dataset, risk) for risk in RiskKind}
     for mu, sigma2 in [(2.817, 0.927), (1.578, 0.514), (-3.0, 0.01), (6.0, 9.0)]:
         baseline = LognormalBaseline(mu, sigma2)
         for risk in RiskKind:
-            want_logr, want_cumhaz, *_ = _per_segment_baseline_parts(dataset, risk, baseline)
-            got = like.baseline_parts(risk, baseline)
-            assert got.seg_cumhaz.tobytes() == want_cumhaz.tobytes()
-            assert got.event_logr_sum == want_logr
+            want_cumhaz, log_r = _per_segment_baseline_parts(segments[risk], baseline)
+            got = like.baseline_parts(risk, np.array([[mu, sigma2]]))
+            assert got.seg_cumhaz[0].tobytes() == want_cumhaz.tobytes()
+            # each distinct event time once, in time order, times its count
+            event_t = segments[risk][3]
+            _, first, count = np.unique(event_t, return_index=True, return_counts=True)
+            assert got.event_logr_sum[0] == np.sum(log_r[first] * count)
     # the coefficient part and the event times, from each segment's and each
     # event's covariates (``covariate_at``: an exit on a boundary takes the
     # earlier row), bit for bit
     for risk in RiskKind:
-        *_, seg_x, event_t, event_x = _per_segment_baseline_parts(
-            dataset, risk, LognormalBaseline(0.0, 1.0))
+        _, _, seg_x, event_t, event_x = segments[risk]
         assert like.event_times(risk).tobytes() == event_t.tobytes()
         for theta in np.array([[0.3, -0.2], [-1.7, 2.4], [40.0, -25.0]]):
-            got = like.coef_parts(risk, theta)
-            assert got.seg_weights.tobytes() == np.exp(seg_x @ theta).tobytes()
-            assert got.event_eta_sum == float(np.sum(event_x @ theta))
+            got = like.coef_parts(risk, theta[None])
+            assert got.seg_weights[0].tobytes() == np.exp(seg_x @ theta).tobytes()
+            assert got.event_eta_sum[0] == np.sum(theta * event_x.sum(axis=0))
     if book == "no_defaults":
         assert like.n_events(RiskKind.DEFAULT) == 0
 
@@ -314,7 +352,7 @@ def _close(a, b, scale):
 def test_total_equals_sum_of_loan_logliks(dataset):
     params = params_small(2)
     terms = [loan_loglik(loan, params) for loan in dataset.loans]
-    total = PortfolioLikelihood(dataset).total(params)
+    total = total_loglik(dataset, params)
     assert _close(total, math.fsum(terms), sum(abs(x) for x in terms))
 
 
@@ -336,8 +374,8 @@ def test_splitting_a_segment_leaves_loglik_unchanged(dataset, data):
     loans = list(dataset.loans)
     loans[i] = LoanObservation(loan.loan_id, loan.status, loan.time, path)
     split = Dataset(loans=tuple(loans), schema=dataset.schema)
-    before = PortfolioLikelihood(dataset).total(params)
-    after = PortfolioLikelihood(split).total(params)
+    before = total_loglik(dataset, params)
+    after = total_loglik(split, params)
     assert after == pytest.approx(before, rel=1e-12)
 
 
@@ -362,20 +400,22 @@ def test_batched_logliks_equal_one_point_logliks(dataset, rows):
     # no_defaults book) and the empty book (what ``fit --prior-only`` samples)
     like = PortfolioLikelihood(dataset)
     for risk in RiskKind:
+        segments = _segments(dataset, risk)
         got = like.risk_logliks(risk, rows)
-        want = np.array([like.risk_loglik(risk, r[2:], LognormalBaseline(r[0], r[1]))
-                         for r in rows])
+        want = np.array([_per_segment_loglik(segments, r) for r in rows])
         assert got.shape == want.shape
         finite = np.isfinite(want)
         # -inf and +inf in the same places, and never NaN
         assert np.array_equal(got[~finite], want[~finite]), (got, want)
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite])), (
             got, want)
-        # each row's weights are the one-point weights bit for bit, so exp
+        # each row's weights are the per-segment weights bit for bit, so exp
         # does not magnify a rounding difference in theta'x
         weights = like.coef_parts(risk, rows[:, 2:]).seg_weights
-        for w, r in zip(weights, rows):
-            assert w.tobytes() == like.coef_parts(risk, r[2:]).seg_weights.tobytes()
+        seg_x = segments[2]
+        with np.errstate(over="ignore"):
+            for w, r in zip(weights, rows):
+                assert w.tobytes() == np.exp(seg_x @ r[2:]).tobytes()
 
 
 @pytest.mark.parametrize("book", ["continuous", "monthly"])
@@ -402,27 +442,28 @@ def _point(theta, mu, l):
     return np.concatenate((np.asarray(theta, dtype=float), (mu, l)))
 
 
-def _numeric_gradient(like, risk, v, h=1e-5):
-    """Central differences of ``risk_loglik`` in (theta, mu, log sigma2)."""
-    p = v.size - 2
+def _as_row(v):
+    """The row (mu, sigma2, theta) at v = (theta, mu, log sigma2)."""
+    return np.concatenate(((v[-2], math.exp(v[-1])), v[:-2]))
 
+
+def _numeric_gradient(like, risk, v, h=1e-5):
+    """Central differences of 1-row ``risk_logliks`` in (theta, mu, log sigma2)."""
     def f(w):
-        return like.risk_loglik(risk, w[:p], LognormalBaseline(w[p], math.exp(w[p + 1])))
+        return like.risk_logliks(risk, _as_row(w)[None])[0]
 
     return np.array([(f(v + e) - f(v - e)) / (2.0 * h) for e in h * np.eye(v.size)])
 
 
 def _derivs(like, risk, v):
-    p = v.size - 2
-    return like.risk_loglik_derivs(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
+    return like.risk_loglik_derivs(risk, _as_row(v))
 
 
 def _assert_gradient(like, risk, v, rel=1e-6, h=1e-5):
     """The value, the gradient against central differences of the value,
     and the Hessian against central differences of the gradient."""
-    p = v.size - 2
     value, grad, hess = _derivs(like, risk, v)
-    assert value == like.risk_loglik(risk, v[:p], LognormalBaseline(v[p], math.exp(v[p + 1])))
+    assert value == like.risk_logliks(risk, _as_row(v)[None])[0]
     num = _numeric_gradient(like, risk, v, h)
     assert np.all(np.abs(grad - num) <= rel * (1.0 + np.abs(num))), (grad, num)
     num = np.column_stack([

@@ -20,7 +20,6 @@ from mortsurv import (
     CovariatePath,
     Dataset,
     InitializationError,
-    LognormalBaseline,
     PortfolioLikelihood,
     PosteriorSamples,
     PriorSpec,
@@ -194,9 +193,9 @@ def _log_target_in_u(like, prior, risk, coords):
     to a constant."""
     def f(u):
         theta, mu, l = coords.to_model(u)
-        baseline = LognormalBaseline(float(mu), math.exp(l))
+        row = np.concatenate(((mu, math.exp(l)), theta))
         log_prior = float(prior.risk_log_density(theta, mu, l) + coords.log_jacobian(u))
-        return like.risk_loglik(risk, theta, baseline) + log_prior
+        return like.risk_logliks(risk, row[None])[0] + log_prior
 
     return f
 
@@ -217,8 +216,8 @@ def test_mode_search_start_not_finite_names_the_risk(bench_small, monkeypatch):
     dataset, _ = bench_small
     like = PortfolioLikelihood(dataset)
 
-    def broken(self, risk, theta, baseline):
-        return math.nan, np.zeros(theta.size + 2), -np.eye(theta.size + 2)
+    def broken(self, risk, row):
+        return math.nan, np.zeros(row.size), -np.eye(row.size)
 
     monkeypatch.setattr(PortfolioLikelihood, "risk_loglik_derivs", broken)
     with pytest.raises(InitializationError, match="default risk: the log posterior is not finite"):
@@ -230,8 +229,8 @@ def test_hessian_not_negative_definite_names_the_risk(bench_small, monkeypatch):
     like = PortfolioLikelihood(dataset)
     derivs = PortfolioLikelihood.risk_loglik_derivs
 
-    def convex(self, risk, theta, baseline):
-        value, grad, _ = derivs(self, risk, theta, baseline)
+    def convex(self, risk, row):
+        value, grad, _ = derivs(self, risk, row)
         return value, grad, np.eye(grad.size) * 1e6
 
     monkeypatch.setattr(PortfolioLikelihood, "risk_loglik_derivs", convex)
@@ -351,10 +350,10 @@ def _chunk_and_a_bit(bench_small):
 def test_batched_scoring_gives_the_per_row_chain_bytes(bench_small, monkeypatch):
     like, prior, config, blocks = _chunk_and_a_bit(bench_small)
     batched = run_chain(like, prior, config, [0], blocks)[0]
+    logliks = PortfolioLikelihood.risk_logliks
 
     def per_row(self, risk, rows):
-        return np.array([self.risk_loglik(risk, r[2:], LognormalBaseline(r[0], r[1]))
-                         for r in rows])
+        return np.concatenate([logliks(self, risk, r[None]) for r in rows])
 
     monkeypatch.setattr(PortfolioLikelihood, "risk_logliks", per_row)
     looped = run_chain(like, prior, config, [0], blocks)[0]
@@ -370,14 +369,14 @@ def test_independence_proposals_are_scored_in_batched_passes(bench_small, monkey
     coef_parts = PortfolioLikelihood.coef_parts
 
     def counted(self, risk, theta, *args, **kwargs):
-        calls.append((risk, np.shape(theta)[0] if np.ndim(theta) == 2 else None))
+        calls.append((risk, len(theta)))
         return coef_parts(self, risk, theta, *args, **kwargs)
 
     monkeypatch.setattr(PortfolioLikelihood, "coef_parts", counted)
     run_chain(like, prior, config, chain_ids, blocks)
     # per risk: one row per chain at the starts; per chunk, every chain's
     # independence proposals in passes of _BATCH_ROWS rows, then one row per
-    # chain at each random-walk sweep; never one point alone
+    # chain at each random-walk sweep
     c, rows = len(chain_ids), likelihood._BATCH_ROWS
     sweeps = np.arange(1, config.n_iters + 1)
     chunks = np.split(sweeps, np.arange(mcmc._CHUNK, config.n_iters, mcmc._CHUNK))
