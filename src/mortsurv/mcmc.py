@@ -29,14 +29,15 @@ log posteriors.  The chains' starts, and each random-walk sweep's
 proposals, are scored in one such call per risk with one row per chain,
 and each accept test runs over all chains at once.
 
-No risk reads the other's state, so each risk's share of a chunk (the
-scoring of its independence proposals, its random-walk sweeps and its
-accept tests) runs on a worker thread of its own, one per risk, while the
-calling thread draws every chain's numbers in the order of a serial run.
-Most of a scoring pass is ``log_ndtr`` over the distinct times, which
-releases the interpreter lock, so the two workers overlap there.  Each
-risk's arrays are touched by its worker only and the likelihood is read
-only, so the draws do not depend on how the threads are scheduled.
+No risk reads the other's state, so the two risks' shares of a chunk
+(the scoring of its independence proposals, its random-walk sweeps and its
+accept tests) run at once: the calling thread draws every chain's numbers
+in the order of a serial run, then runs the default risk's share itself
+while one worker thread runs the prepay risk's.  Most of a scoring pass is
+``log_ndtr`` over the distinct times, which releases the interpreter lock,
+so the two threads overlap there.  Each risk's arrays are touched by one
+thread only and the likelihood is read only, so the draws do not depend
+on how the threads are scheduled.
 
 The block is sampled in coordinates chosen per risk (``Coordinates``).
 When the design has an intercept column and the risk has events, the
@@ -61,7 +62,6 @@ import logging
 import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +74,6 @@ __all__ = [
     "SamplerConfig",
     "Coordinates",
     "LaplaceBlock",
-    "ChainResult",
     "PosteriorSamples",
     "ParamSummary",
     "InitializationError",
@@ -464,16 +463,6 @@ def laplace_blocks(like: PortfolioLikelihood, prior: PriorSpec) -> tuple[Laplace
     return tuple(laplace_block(like, prior, risk) for risk in RiskKind)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainResult:
-    """Kept draws and sampler statistics from a single chain."""
-
-    chain_id: int
-    iterations: np.ndarray  # (n_kept,) 1-based sweep indices
-    draws: np.ndarray  # (n_kept, 4 + 2p), columns in ``param_names`` order
-    acceptance: dict[str, float]  # post-burn-in acceptance rate per risk
-
-
 def _draw_columns(risk: RiskKind, p: int) -> np.ndarray:
     """Where one risk's (mu, sigma2, theta) go in a ``param_names`` row."""
     k = 0 if risk is RiskKind.DEFAULT else 1
@@ -524,17 +513,21 @@ def _scored(like, block, prior, u, score=True) -> tuple[np.ndarray, np.ndarray, 
     return values.reshape(*lead, -1), log_post.reshape(lead), log_q.reshape(lead)
 
 
-def _sweep_risk(like, prior, walk, block, s, fresh, steps, log_u) -> np.ndarray:
+def _sweep_risk(like, prior, walk, block, s, start, fresh, steps, log_u) -> np.ndarray:
     """One risk's share of a chunk of ``walk.size`` sweeps, for every chain.
 
-    Scores the independence proposals ``fresh`` (C, n, d) at the sweeps
-    that are not random-walk sweeps into slots 1..n of ``s``, then runs the
-    sweeps: each random-walk sweep scores its C proposals from ``steps``,
-    and each accept test compares ``log_u`` (C, n) over all chains at once.
-    Returns ``state`` (C, n + 1), each chain's slot after the chunk's first
-    i sweeps.  It touches no other risk's arrays, so the risks can run on
+    On a run's first chunk ``start`` holds the chains' starts (C, d), which
+    are scored into slot 0 of ``s``; later chunks pass None.  Scores the
+    independence proposals ``fresh`` (C, n, d) at the sweeps that are not
+    random-walk sweeps into slots 1..n, then runs the sweeps: each
+    random-walk sweep scores its C proposals from ``steps``, and each
+    accept test compares ``log_u`` (C, n) over all chains at once.  Returns
+    ``state`` (C, n + 1), each chain's slot after the chunk's first i
+    sweeps.  It touches no other risk's arrays, so the risks can run on
     separate threads.
     """
+    if start is not None:
+        s.put(0, start, *_scored(like, block, prior, start))
     n, chains = walk.size, np.arange(len(fresh))
     s.put(slice(1, n + 1), fresh, *_scored(like, block, prior, fresh, ~walk))
     state = np.zeros((len(fresh), n + 1), dtype=np.int64)
@@ -558,56 +551,58 @@ def run_chain(
     config: SamplerConfig,
     chain_ids: Iterable[int],
     blocks: tuple[LaplaceBlock, ...] | None = None,
-) -> list[ChainResult]:
-    """Run the chains ``chain_ids`` to completion, in lockstep, one result each.
+) -> PosteriorSamples:
+    """Run the chains ``chain_ids`` to completion, in lockstep, and pool
+    their kept draws.
 
-    ``blocks`` are the per-risk proposals (``laplace_block``); without
-    them the chains fit their own, which gives the same ones.  Chain c's
-    generator is ``default_rng(SeedSequence(config.seed, spawn_key=(c,)))``,
-    so chains never share a stream and a given (seed, c) pair always
-    reproduces the same draws, whichever chains run beside it.  Sweeps
-    ``_CYCLE``, 2 ``_CYCLE``, ... make random-walk proposals, every other
-    sweep an independence proposal.  Each chain draws its start per risk,
-    then per ``_CHUNK`` sweeps the independence proposals and the
-    random-walk steps of both risks and the uniforms of the accept tests.
-    Each risk scores the chains' starts, a chunk's independence proposals
-    and each random-walk sweep's proposals in one batched likelihood call
-    (``PortfolioLikelihood.risk_logliks``), whose rows do not depend on
-    how many share the call; the accept tests run over all chains at once.
-    The calling thread draws every number; each risk's scoring and sweeps
-    run on a worker thread of its own (``_sweep_risk``), and the first
-    error, in risk order, is raised here once both workers have stopped.
+    The result's rows are chain-major in ``chain_ids`` order, its ``chain``
+    column holds those ids, and its ``acceptance`` maps each risk to one
+    post-burn-in acceptance rate per chain.  ``blocks`` are the per-risk
+    proposals (``laplace_block``); without them the chains fit their own,
+    which gives the same ones.  Chain c's generator is
+    ``default_rng(SeedSequence(config.seed, spawn_key=(c,)))``, so chains
+    never share a stream and a given (seed, c) pair always reproduces the
+    same draws, whichever chains run beside it.  Sweeps ``_CYCLE``,
+    2 ``_CYCLE``, ... make random-walk proposals, every other sweep an
+    independence proposal.  Each chain draws its start per risk, then per
+    ``_CHUNK`` sweeps the independence proposals and the random-walk steps
+    of both risks and the uniforms of the accept tests.  Each risk scores
+    the chains' starts, a chunk's independence proposals and each
+    random-walk sweep's proposals in one batched likelihood call
+    (``PortfolioLikelihood.risk_logliks``), whose rows do not depend on how
+    many share the call; the accept tests run over all chains at once.
+    The calling thread draws every number and runs the default risk's
+    scoring and sweeps (``_sweep_risk``) while one worker thread runs the
+    prepay risk's; an error in either is raised here once the worker has
+    stopped, the default risk's first.  The kept draws are allocated before
+    anything else, and a run shape too large for that raises ValueError
+    naming ``n_chains``, ``n_iters``, ``burn_in`` and ``thin``.
     """
-    blocks = blocks if blocks is not None else laplace_blocks(like, prior)
     chain_ids = list(chain_ids)
+    n_chains, p = len(chain_ids), like.dataset.p
+    try:
+        iteration = np.empty((n_chains, config.n_kept), dtype=np.int64)
+        draws = np.empty((n_chains, config.n_kept, 4 + 2 * p))
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"run shape too large to allocate: n_chains {n_chains} chains of "
+            f"(n_iters {config.n_iters} - burn_in {config.burn_in}) // thin {config.thin} "
+            f"= {config.n_kept} kept draws; lower n_iters or raise thin"
+        ) from exc
+    blocks = blocks if blocks is not None else laplace_blocks(like, prior)
     rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(c,)))
             for c in chain_ids]
-    n_chains, n_risks, p = len(rngs), len(blocks), like.dataset.p
+    n_risks = len(blocks)
     chains = np.arange(n_chains)
     cols = [_draw_columns(b.risk, p) for b in blocks]
     slots = [_Slots.empty(n_chains, min(_CHUNK, config.n_iters), b.mode.size, p) for b in blocks]
     # each risk's starts, one row per chain, drawn chain by chain
     starts = [np.array(u)
               for u in zip(*([b.independent(rng, 1)[0] for b in blocks] for rng in rngs))]
-    iterations = np.empty(config.n_kept, dtype=np.int64)
-    draws = np.empty((n_chains, config.n_kept, 4 + 2 * p))
     accepted = np.zeros((n_risks, n_chains), dtype=np.int64)
     kept = 0
     sweep = 0
-    with ExitStack() as stack:
-        # one single-thread executor per risk, not one shared pool: a shared
-        # pool hands each task to whichever worker is idle, so a risk's
-        # arrays would pass from thread to thread between chunks
-        workers = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in blocks]
-
-        def per_risk(fn, *args) -> list:
-            """fn(*(a[k] for a in args)) on risk k's worker for each k; the
-            results in risk order, or the first error in risk order."""
-            futures = [w.submit(fn, *a) for w, *a in zip(workers, *args)]
-            return [f.result() for f in futures]
-
-        per_risk(lambda block, s, u: s.put(0, u, *_scored(like, block, prior, u)),
-                 blocks, slots, starts)
+    with ThreadPoolExecutor(max_workers=1) as worker:
         while sweep < config.n_iters:
             n = min(_CHUNK, config.n_iters - sweep)
             # each chain's numbers in the order of a chain run alone, stacked
@@ -622,15 +617,20 @@ def run_chain(
                 log_u = np.log(uniform)  # (chain, sweep, risk)
             sweeps = sweep + 1 + np.arange(n)
             walk = sweeps % _CYCLE == 0
+            default, prepay = (
+                (like, prior, walk, b, s, starts[k] if sweep == 0 else None,
+                 proposals[k], proposals[n_risks + k], log_u[:, :, k])
+                for k, (b, s) in enumerate(zip(blocks, slots))
+            )
+            # the prepay risk on the worker, the default risk here; an error
+            # here leaves the ``with`` only once the worker has finished
+            future = worker.submit(_sweep_risk, *prepay)
             # state[k, :, i] is each chain's slot after the chunk's first i sweeps
-            state = np.array(per_risk(
-                functools.partial(_sweep_risk, like, prior, walk), blocks, slots,
-                proposals[:n_risks], proposals[n_risks:], np.moveaxis(log_u, 2, 0),
-            ))
+            state = np.array([_sweep_risk(*default), future.result()])
             post = sweeps > config.burn_in
             accepted += np.sum((state[:, :, 1:] == np.arange(1, n + 1)) & post, axis=2)
             keep = np.flatnonzero(post & ((sweeps - config.burn_in) % config.thin == 0))
-            iterations[kept : kept + keep.size] = sweeps[keep]
+            iteration[:, kept : kept + keep.size] = sweeps[keep]
             for k, s in enumerate(slots):
                 at = state[k][:, keep + 1]
                 draws[:, kept : kept + keep.size, cols[k]] = s.values[chains[:, None], at]
@@ -639,11 +639,13 @@ def run_chain(
             sweep += n
 
     n_post = config.n_iters - config.burn_in
-    return [
-        ChainResult(cid, iterations.copy(), draws[c],
-                    {b.risk.value: int(a[c]) / n_post for b, a in zip(blocks, accepted)})
-        for c, cid in enumerate(chain_ids)
-    ]
+    return PosteriorSamples.from_matrix(
+        like.dataset.schema,
+        np.repeat(np.array(chain_ids, dtype=np.int64), config.n_kept),
+        iteration.reshape(-1),
+        draws.reshape(n_chains * config.n_kept, -1),
+        acceptance={b.risk.value: a / n_post for b, a in zip(blocks, accepted)},
+    )
 
 
 def param_names(schema) -> list[str]:
@@ -752,21 +754,12 @@ def run_sampler(
     prior: PriorSpec | None = None,
     config: SamplerConfig | None = None,
 ) -> PosteriorSamples:
-    """Fit each risk's proposal once, run chains 0..C-1 in lockstep on one
-    shared likelihood evaluator, and pool their kept draws in chain order."""
+    """Run chains 0..C-1 of ``config`` with ``run_chain`` on one shared
+    likelihood evaluator: each risk's proposal is fitted once, and the
+    kept draws come pooled in chain order."""
     prior = prior if prior is not None else PriorSpec()
     config = config if config is not None else SamplerConfig()
-    like = PortfolioLikelihood(data)
-    ids = list(range(config.n_chains))
-    results = run_chain(like, prior, config, ids, laplace_blocks(like, prior))
-
-    return PosteriorSamples.from_matrix(
-        data.schema,
-        np.repeat(np.array(ids, dtype=np.int64), config.n_kept),
-        np.concatenate([r.iterations for r in results]),
-        np.vstack([r.draws for r in results]),
-        acceptance={b: np.array([r.acceptance[b] for r in results]) for b in results[0].acceptance},
-    )
+    return run_chain(PortfolioLikelihood(data), prior, config, range(config.n_chains))
 
 
 # --- convergence summaries ----------------------------------------------------

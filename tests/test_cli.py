@@ -693,6 +693,21 @@ def test_fit_config_wrongly_typed_value_exits_4(sim_outputs, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_iters", [10**15, 10**29])
+def test_fit_run_shape_too_large_to_allocate_exits_4(sim_outputs, tmp_path, capsys, n_iters):
+    # too many bytes for the kept draws, and more than an array dimension holds
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"sampler": {"n_iters": n_iters, "burn_in": 0, "thin": 1}}))
+    rc = main(["fit", "--dataset", str(sim_outputs / "dataset.csv"),
+               "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("error: run shape too large to allocate: ")
+    for field in ("n_chains 4", f"n_iters {n_iters}", "burn_in 0", "thin 1"):
+        assert field in err
+    assert "Traceback" not in err
+
+
 def test_simulate_config_wrongly_typed_value_exits_4(tmp_path, sim_config, capsys):
     cfg = json.loads(sim_config.read_text())
     cfg["n_loans"] = "80"

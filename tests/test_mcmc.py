@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -291,10 +292,7 @@ def test_reparameterised_and_plain_kernels_sample_one_posterior(monkeypatch):
         else:
             monkeypatch.undo()
         block = laplace_block(like, prior, risk)
-        chains = run_chain(like, prior, config, range(4), (block, other))
-        samples = PosteriorSamples.from_matrix(
-            dataset.schema, np.repeat(np.arange(4), config.n_kept),
-            np.concatenate([r.iterations for r in chains]), np.vstack([r.draws for r in chains]))
+        samples = run_chain(like, prior, config, range(4), (block, other))
         rows[block.coords.intercept] = {r.name: r for r in summarize(samples)}
     assert set(rows) == {None, 0}  # plain, and reparameterised on the intercept
     for name in ("mu_default", "sigma2_default", "theta_default:intercept"):
@@ -310,13 +308,15 @@ def test_run_chain_reproducible_and_chain_id_distinct(bench_small):
     prior = PriorSpec()
     config = SamplerConfig(n_chains=2, n_iters=200, burn_in=100, thin=2, seed=42)
     like = PortfolioLikelihood(dataset)
-    a = run_chain(like, prior, config, [0])[0]
-    b = run_chain(like, prior, config, [0])[0]
-    c = run_chain(like, prior, config, [1])[0]
-    assert a.draws.shape == (config.n_kept, 4 + 2 * dataset.p)
-    np.testing.assert_array_equal(a.draws, b.draws)
-    np.testing.assert_array_equal(a.iterations, b.iterations)
-    assert not np.array_equal(a.draws[:, 0], c.draws[:, 0])
+    a = run_chain(like, prior, config, [0])
+    b = run_chain(like, prior, config, [0])
+    c = run_chain(like, prior, config, [1])
+    assert a.matrix().shape == (config.n_kept, 4 + 2 * dataset.p)
+    np.testing.assert_array_equal(a.matrix(), b.matrix())
+    np.testing.assert_array_equal(a.iteration, b.iteration)
+    assert not np.array_equal(a.mu_default, c.mu_default)
+    assert a.chain.tolist() == [0] * config.n_kept
+    assert c.chain.tolist() == [1] * config.n_kept
 
 
 def test_run_sampler_stacks_chains_in_order(bench_small):
@@ -324,8 +324,8 @@ def test_run_sampler_stacks_chains_in_order(bench_small):
     prior = PriorSpec()
     config = SamplerConfig(n_chains=3, n_iters=120, burn_in=60, thin=2, seed=5)
     s = run_sampler(dataset, prior, config)
-    chains = [run_chain(PortfolioLikelihood(dataset), prior, config, [c])[0] for c in range(3)]
-    expected = np.vstack([r.draws for r in chains])
+    chains = [run_chain(PortfolioLikelihood(dataset), prior, config, [c]) for c in range(3)]
+    expected = np.vstack([r.matrix() for r in chains])
     assert s.matrix().tobytes() == expected.tobytes()
     p = dataset.p
     for j, name in enumerate(("mu_default", "sigma2_default", "mu_prepay", "sigma2_prepay")):
@@ -333,9 +333,20 @@ def test_run_sampler_stacks_chains_in_order(bench_small):
     assert s.theta_default.tobytes() == expected[:, 4 : 4 + p].tobytes()
     assert s.theta_prepay.tobytes() == expected[:, 4 + p :].tobytes()
     np.testing.assert_array_equal(s.chain, np.repeat([0, 1, 2], config.n_kept))
-    np.testing.assert_array_equal(s.iteration, np.concatenate([r.iterations for r in chains]))
+    np.testing.assert_array_equal(s.iteration, np.concatenate([r.iteration for r in chains]))
     for block, rates in s.acceptance.items():
-        assert rates.tolist() == [r.acceptance[block] for r in chains]
+        assert rates.tolist() == [x for r in chains for x in r.acceptance[block].tolist()]
+
+
+def _assert_same_bytes(a: PosteriorSamples, b: PosteriorSamples) -> None:
+    """Two pooled runs hold the same draws, chains, sweeps and acceptance,
+    bit for bit."""
+    assert a.matrix().tobytes() == b.matrix().tobytes()
+    assert a.chain.tobytes() == b.chain.tobytes()
+    assert a.iteration.tobytes() == b.iteration.tobytes()
+    assert list(a.acceptance) == list(b.acceptance)
+    for risk in a.acceptance:
+        assert a.acceptance[risk].tobytes() == b.acceptance[risk].tobytes()
 
 
 def _chunk_and_a_bit(bench_small):
@@ -349,17 +360,15 @@ def _chunk_and_a_bit(bench_small):
 
 def test_batched_scoring_gives_the_per_row_chain_bytes(bench_small, monkeypatch):
     like, prior, config, blocks = _chunk_and_a_bit(bench_small)
-    batched = run_chain(like, prior, config, [0], blocks)[0]
+    batched = run_chain(like, prior, config, [0], blocks)
     logliks = PortfolioLikelihood.risk_logliks
 
     def per_row(self, risk, rows):
         return np.concatenate([logliks(self, risk, r[None]) for r in rows])
 
     monkeypatch.setattr(PortfolioLikelihood, "risk_logliks", per_row)
-    looped = run_chain(like, prior, config, [0], blocks)[0]
-    assert batched.draws.tobytes() == looped.draws.tobytes()
-    assert batched.iterations.tobytes() == looped.iterations.tobytes()
-    assert batched.acceptance == looped.acceptance
+    looped = run_chain(like, prior, config, [0], blocks)
+    _assert_same_bytes(batched, looped)
 
 
 def test_independence_proposals_are_scored_in_batched_passes(bench_small, monkeypatch):
@@ -393,31 +402,49 @@ def test_independence_proposals_are_scored_in_batched_passes(bench_small, monkey
 def test_a_chain_run_alone_gives_its_lockstep_bytes(bench_small):
     like, prior, config, blocks = _chunk_and_a_bit(bench_small)
     together = run_chain(like, prior, config, [0, 1, 2], blocks)
-    alone = run_chain(like, prior, config, [2], blocks)[0]
-    assert alone.chain_id == together[2].chain_id == 2
-    assert alone.draws.tobytes() == together[2].draws.tobytes()
-    assert alone.iterations.tobytes() == together[2].iterations.tobytes()
-    assert alone.acceptance == together[2].acceptance
+    alone = run_chain(like, prior, config, [2], blocks)
+    rows = together.chain == 2
+    assert alone.chain.tolist() == [2] * config.n_kept
+    assert alone.matrix().tobytes() == together.matrix()[rows].tobytes()
+    assert alone.iteration.tobytes() == together.iteration[rows].tobytes()
+    assert list(alone.acceptance) == list(together.acceptance)
+    for risk, rates in alone.acceptance.items():
+        assert rates.tobytes() == together.acceptance[risk][2:].tobytes()
+
+
+class _InlineExecutor:
+    """An executor whose ``submit`` runs the task at once, on the calling thread."""
+
+    def __init__(self, max_workers: int):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def test_thread_scheduling_does_not_change_the_bytes(bench_small, monkeypatch):
     like, prior, config, blocks = _chunk_and_a_bit(bench_small)
-    # switch threads as often as the interpreter allows, so the two risk
-    # workers interleave as finely as they can
+    # switch threads as often as the interpreter allows, so the calling
+    # thread and the prepay worker interleave as finely as they can
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded = run_chain(like, prior, config, [0, 1, 2], blocks)
     finally:
         sys.setswitchinterval(interval)
-    # both risks on one shared worker, one risk's share of a chunk after the other
-    with ThreadPoolExecutor(max_workers=1) as shared:
-        monkeypatch.setattr(mcmc, "ThreadPoolExecutor", lambda max_workers: shared)
-        serial = run_chain(like, prior, config, [0, 1, 2], blocks)
-    for a, b in zip(threaded, serial):
-        assert a.draws.tobytes() == b.draws.tobytes()
-        assert a.iterations.tobytes() == b.iterations.tobytes()
-        assert a.acceptance == b.acceptance
+    # both risks on the calling thread, the prepay risk's share of a chunk
+    # when it is submitted and then the default risk's
+    monkeypatch.setattr(mcmc, "ThreadPoolExecutor", _InlineExecutor)
+    serial = run_chain(like, prior, config, [0, 1, 2], blocks)
+    _assert_same_bytes(threaded, serial)
 
 
 def _recorded(monkeypatch, fail: RiskKind | None = None) -> list[tuple[RiskKind, int]]:
@@ -445,8 +472,9 @@ def test_each_risk_is_scored_on_a_worker_of_its_own(bench_small, monkeypatch):
     threads = {risk: {t for r, t in calls if r is risk} for risk in RiskKind}
     assert all(len(ids) == 1 for ids in threads.values()), threads
     default, prepay = (ids.pop() for ids in threads.values())
-    assert default != prepay
-    assert threading.get_ident() not in (default, prepay)
+    # the default risk on the calling thread, the prepay risk on one worker
+    assert default == threading.get_ident()
+    assert prepay != default
 
 
 def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(bench_small, monkeypatch):
@@ -457,6 +485,34 @@ def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(bench_small, mon
     with pytest.raises(ValueError, match="^prepay scoring failed$"):
         run_sampler(dataset, config=config)
     assert threading.active_count() == before
+
+
+def test_a_default_risk_error_waits_for_the_prepay_worker(bench_small, monkeypatch):
+    dataset, _ = bench_small
+    calls = _recorded(monkeypatch, fail=RiskKind.DEFAULT)
+    finished = []
+    recorded = PortfolioLikelihood.risk_logliks
+
+    def slow_prepay(self, risk, rows):
+        if risk is RiskKind.DEFAULT:
+            return recorded(self, risk, rows)
+        time.sleep(0.01)
+        out = recorded(self, risk, rows)
+        finished.append(threading.get_ident())
+        return out
+
+    monkeypatch.setattr(PortfolioLikelihood, "risk_logliks", slow_prepay)
+    before = threading.active_count()
+    config = SamplerConfig(n_chains=2, n_iters=20, burn_in=10, thin=1, seed=1)
+    with pytest.raises(ValueError, match="^default scoring failed$"):
+        run_sampler(dataset, config=config)
+    assert threading.active_count() == before
+    # the default risk failed at its starts, on the calling thread; the
+    # prepay worker had scored its starts, its independence proposals and
+    # every random-walk sweep of the one chunk by the time the error arrived
+    assert [t for r, t in calls if r is RiskKind.DEFAULT] == [threading.get_ident()]
+    assert len(finished) == 2 + config.n_iters // mcmc._CYCLE
+    assert len(set(finished)) == 1 and threading.get_ident() not in finished
 
 
 def test_proposal_rows_do_not_depend_on_the_rows_beside_them(bench_small):
